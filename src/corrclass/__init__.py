@@ -8,7 +8,7 @@ from .catalogs import (Catalog, atom_antichain_catalog, catalog_cover_check,
 from .classify import (ClassDescriptor, Filter, class_exists, class_order,
                        classes_equal, describe_class, enumerate_filters,
                        lemma_principal_check, make_filter, oracle_cross_check,
-                       type_set)
+                       signature_groups, type_set)
 from .ideals import (Ideal, IdealPoset, PropertyContext, atom_context,
                      chain_check_part_prod, coatom_context, enumerate_ideals,
                      full_context, ideal_stream, k_partitionability_context,

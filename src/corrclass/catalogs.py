@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .classify import (ClassDescriptor, Filter, describe_class,
-                       enumerate_filters, make_filter)
+from .classify import (ClassDescriptor, Filter, class_exists,
+                       describe_class, enumerate_filters, make_filter,
+                       signature_groups)
 from .ideals import (IdealPoset, PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, full_context, k_partitionability_context,
                      k_producibility_context, principal_ideal)
@@ -32,6 +33,8 @@ class Catalog:
     empties: list[Filter]
     exhaustive: bool  # whether every filter of the context was examined
     notes: dict = field(default_factory=dict)
+    # labels on which the algebraic verdict and the signature oracle differ
+    discrepancies: list[dict] = field(default_factory=list)
 
     @property
     def lattice(self) -> PartitionLattice:
@@ -85,18 +88,34 @@ def chain_catalog(context: PropertyContext) -> Catalog:
 
 def _antichain_style_catalog(kind: str, context: PropertyContext,
                              cap: int) -> Catalog:
+    """Decide every label from the signature groups, in filter order.
+
+    Each label's algebraic verdict is compared with the signature lookup,
+    and each realized label's type set with its signature group.
+    """
     if 2 ** len(context) > cap:
         raise CapExceeded(
             f"{2 ** len(context)} filters exceed the cap of {cap}")
+    groups = signature_groups(context)
     classes: list[ClassDescriptor] = []
     empties: list[Filter] = []
+    discrepancies: list[dict] = []
     for f in enumerate_filters(context, max_context=len(context)):
-        d = describe_class(f)
-        if d.exists:
-            classes.append(d)
-        else:
+        group = groups.get(f.members)
+        exists = class_exists(f).exists
+        if exists != (group is not None):
+            discrepancies.append({"kind": "existence", "label": str(f),
+                                  "exists": exists,
+                                  "realized": group is not None})
+        if group is None:
             empties.append(f)
-    return Catalog(kind, context, classes, empties, True)
+            continue
+        d = describe_class(f)
+        if d.type_mask() != group:
+            discrepancies.append({"kind": "type_set", "label": str(f)})
+        classes.append(d)
+    return Catalog(kind, context, classes, empties, True,
+                   discrepancies=discrepancies)
 
 
 def atom_antichain_catalog(n: int,

@@ -142,6 +142,25 @@ def type_set(f: Filter) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def signature_groups(context: PropertyContext) -> dict[int, int]:
+    """The type-set oracle taken partition-first, for every label at once.
+
+    The signature of a type ζ is the mask of context ideals containing ζ;
+    ζ realizes exactly the label equal to its signature.  Maps each
+    realized label's member mask to the partition mask of its types;
+    labels absent from the map are empty.
+    """
+    signature = [0] * len(context.lattice)
+    for i, ideal in enumerate(context.ideals):
+        for j in bits(ideal.members):
+            signature[j] |= 1 << i
+    groups: dict[int, int] = {}
+    for j, sig in enumerate(signature):
+        if sig:
+            groups[sig] = groups.get(sig, 0) | 1 << j
+    return groups
+
+
 def _check_same_context(f: Filter, g: Filter) -> None:
     if f.context is not g.context:
         raise ValueError("filters belong to different contexts")

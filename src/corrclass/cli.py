@@ -56,9 +56,16 @@ def _load_context(config: RunConfig,
     if kind == "custom":
         if not config.context_file:
             raise ValueError("--context custom requires --context-file")
+        ideals = []
         with open(config.context_file, encoding="utf-8") as fh:
-            ideals = [idl.parse_ideal(lattice, line)
-                      for line in fh if line.strip()]
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    ideals.append(idl.parse_ideal(lattice, line))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{config.context_file}:{lineno}: {exc}") from exc
         return idl.PropertyContext(lattice, ideals)
     raise ValueError(f"unknown context kind {kind!r}")
 
@@ -143,7 +150,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(_catalog_letters(catalog))
     else:
         print(cat.catalog_text(catalog))
-    if not check["ok"]:
+    if not check["ok"] or catalog.discrepancies:
         print("oracle cross-check FAILED", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
@@ -183,6 +190,20 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
         return lines, ok
 
     lattice = enumerate_partitions(args.n, max_n=args.max_n)
+    contexts = [("k_part", idl.k_partitionability_context(lattice)),
+                ("k_prod", idl.k_producibility_context(lattice))]
+    if args.n >= 2:
+        contexts.append(("atoms", idl.atom_context(lattice)))
+        contexts.append(("coatoms", idl.coatom_context(lattice)))
+    if args.context != "all":
+        contexts = [(k, c) for k, c in contexts if k == args.context]
+    for kind, context in contexts:
+        if len(context) > cf.EXHAUSTIVE_CONTEXT_MAX:
+            raise CapExceeded(
+                f"the {kind} context at n={args.n} has {len(context)} "
+                f"ideals; exhaustive filter enumeration is limited to "
+                f"contexts of size <= {cf.EXHAUSTIVE_CONTEXT_MAX}")
+
     record("partition_count", len(lattice) == bell_number(args.n),
            f"{len(lattice)} partitions")
     record("chains_part_prod", idl.chain_check_part_prod(lattice)["ok"])
@@ -197,21 +218,10 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
                 meets_ok = False
     record("principal_ideal_meets", meets_ok)
 
-    contexts = [("k_part", idl.k_partitionability_context(lattice)),
-                ("k_prod", idl.k_producibility_context(lattice))]
-    if args.n >= 2:
-        contexts.append(("atoms", idl.atom_context(lattice)))
-        contexts.append(("coatoms", idl.coatom_context(lattice)))
-    if args.context != "all":
-        contexts = [(k, c) for k, c in contexts if k == args.context]
     universe = (idl.enumerate_ideals(lattice)
                 if args.n <= idl.FULL_ENUMERATION_MAX_N else None)
     for kind, context in contexts:
-        try:
-            filters = list(cf.enumerate_filters(context))
-        except CapExceeded:
-            record(f"oracle.{kind}", False, "cap exceeded")
-            continue
+        filters = list(cf.enumerate_filters(context))
         rep = cf.oracle_cross_check(context, filters,
                                     pair_limit=args.max_pairs)
         record(f"oracle.{kind}", rep["ok"],

@@ -20,7 +20,7 @@ FULL_ENUMERATION_MAX_N = 4  # down-set counts explode past the 15-element lattic
 class Ideal:
     """A nonempty, down-closed set of partitions of a fixed lattice."""
 
-    __slots__ = ("lattice", "members", "_hash")
+    __slots__ = ("lattice", "members", "_hash", "_str")
 
     def __init__(self, lattice: PartitionLattice, members: int):
         if members == 0:
@@ -30,6 +30,7 @@ class Ideal:
         self.lattice = lattice
         self.members = members
         self._hash = hash((id(lattice), members))
+        self._str: str | None = None  # display name, filled on first use
 
     def maximal_indices(self) -> int:
         return self.lattice.poset.maximal(self.members)
@@ -62,8 +63,10 @@ class Ideal:
         return self.members.bit_count()
 
     def __str__(self) -> str:
-        inner = ", ".join(str(p) for p in self.maximal_partitions())
-        return "↓{" + inner + "}"
+        if self._str is None:
+            inner = ", ".join(str(p) for p in self.maximal_partitions())
+            self._str = "↓{" + inner + "}"
+        return self._str
 
     def __repr__(self) -> str:
         return f"Ideal({self})"

@@ -93,6 +93,23 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["context_size"] == 2
 
+    def test_custom_context_bad_line(self, capsys, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_text("12|34\n\n1x|34\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--n", "4",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err.startswith(f"error: {path}:3: ")
+
+    def test_coatoms_n6_cap(self, capsys):
+        code, out, err = run(capsys, "classify", "--n", "6",
+                             "--context", "coatoms")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "cap exceeded" in err
+
     def test_custom_without_file(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "3",
                            "--context", "custom")
@@ -117,6 +134,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "4", "--exhaustive")
         assert code == EXIT_INVARIANT
         assert "FAIL oracle.full" in out
+
+    def test_context_cap_before_work(self, capsys):
+        # coatoms at n=6 has 31 ideals: refused before any check runs
+        code, out, err = run(capsys, "verify", "--n", "6")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith("cap exceeded: the coatoms context at n=6")
+
+    def test_cap_applies_to_selected_contexts(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "6", "--context", "k_part")
+        assert code == EXIT_OK
+        assert "PASS oracle.k_part (6 filters)" in out
 
     def test_single_context(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4",

@@ -1,0 +1,132 @@
+"""Signature-first Level III against the filter-by-filter reference.
+
+The antichain-style catalogs decide each label by looking up its signature
+group.  These tests pin the catalog JSON bytes of every built-in kind, and
+compare the signature path with the old path (``describe_class`` on every
+filter, kept here only as the reference) and with ``type_set``.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from corrclass import catalogs
+from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
+                                custom_catalog)
+from corrclass.classify import (ExistenceVerdict, class_exists, describe_class,
+                                enumerate_filters, signature_groups, type_set)
+from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
+from corrclass.ideals import PropertyContext, ideal_from_generators
+from corrclass.partitions import enumerate_partitions
+
+# sha256 of `corrclass classify --n N --context KIND --output json` stdout,
+# recorded before the signature path replaced per-label describe_class.
+CATALOG_JSON_SHA256 = {
+    ("full", 3): "d2d8619d9cd947a93eeb6891fc80264b6d9c2b27b626fbaf9b02e245d0b890ad",
+    ("full", 4): "c7a38bf8a9080972f1c0475c6c320b7e1a85179abbda8c875955030824501bb5",
+    ("k_part", 3): "152f56999ce312939d8745883844ed43901ee182fd14a87a2dca5ad486a01f73",
+    ("k_part", 4): "48b8a1f8c4b3dc709582561d097c3d68c9c64a0de4e65f1f964b96d8a1fbcfb9",
+    ("k_part", 5): "94a092c64a9c230fca8258e233b44be894e8c024ebb6425642fe0a50762cb546",
+    ("k_prod", 3): "152f56999ce312939d8745883844ed43901ee182fd14a87a2dca5ad486a01f73",
+    ("k_prod", 4): "83c42112d335c042cdb7b12899d95d59a0a81d3291f56e6ce74cd2c1332039a8",
+    ("k_prod", 5): "dccccb30a7f157203cb739b4fc31d191e80c3b1de3367e4d1786e13466bcdde3",
+    ("atoms", 3): "8ccc0c2ce793cbc0dfda90b4a1141e9cd5d69149645fcf3861f6c80e5d79f007",
+    ("atoms", 4): "2b69c2f21a18b1b4069c7c7fc8ab25e0879863b82e443fe0aba09d87a357893e",
+    ("atoms", 5): "5d9be185adbea312fced2719360f8f0f1968962f2ae07bc3b3171c223c3bae0d",
+    ("coatoms", 3): "43bba5658d381c0add96eb8b2c679c88fea55062745359f744010e47bbd7d7b3",
+    ("coatoms", 4): "c3ed4f89c7f30157f3d20aa332f9178f0260a2947968246c57ed0f9356e32ba1",
+    ("coatoms", 5): "6278c71f481b0ae27ff774c97318d89a5768ebff254a9508e4f1102c3d33959b",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(CATALOG_JSON_SHA256))
+def test_catalog_json_bytes_pinned(capsys, kind, n):
+    code = main(["classify", "--n", str(n), "--context", kind,
+                 "--output", "json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CATALOG_JSON_SHA256[kind, n]
+
+
+def reference_catalog(context: PropertyContext) -> Catalog:
+    """The filter-by-filter path: describe_class on every label."""
+    classes, empties = [], []
+    for f in enumerate_filters(context, max_context=len(context)):
+        d = describe_class(f)
+        if d.exists:
+            classes.append(d)
+        else:
+            empties.append(f)
+    return Catalog("custom", context, classes, empties, True)
+
+
+@lru_cache(maxsize=None)
+def _lattice(n):
+    return enumerate_partitions(n)
+
+
+@st.composite
+def custom_contexts(draw):
+    """Up to 7 distinct ideals at n = 3..5, each generated by 1-3 types."""
+    lattice = _lattice(draw(st.integers(3, 5)))
+    generators = st.lists(st.integers(0, len(lattice) - 1),
+                          min_size=1, max_size=3)
+    ideals = draw(st.lists(
+        generators.map(lambda gens: ideal_from_generators(lattice, gens)),
+        min_size=2, max_size=7, unique=True))
+    return PropertyContext(lattice, ideals)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(custom_contexts())
+def test_signature_catalog_matches_reference(context):
+    assume(not context.is_chain())
+    cat = custom_catalog(context)
+    ref = reference_catalog(context)
+    assert cat.kind == "custom"
+    assert cat.discrepancies == []
+    assert cat.classes == ref.classes
+    assert cat.empties == ref.empties
+    assert catalog_json(cat) == catalog_json(ref)
+    groups = signature_groups(context)
+    for f in enumerate_filters(context, max_context=len(context)):
+        types = 0
+        for p in type_set(f):
+            types |= 1 << context.lattice.index[p]
+        assert groups.get(f.members, 0) == types
+
+
+def _flip_pairs(f):
+    """class_exists, with the verdict of every two-ideal label inverted."""
+    verdict = class_exists(f)
+    if len(f) == 2:
+        return ExistenceVerdict(not verdict.exists, verdict.witness)
+    return verdict
+
+
+def test_empty_label_disagreement_recorded(monkeypatch, lat4):
+    monkeypatch.setattr(catalogs, "class_exists", _flip_pairs)
+    cat = atom_antichain_catalog(4, lat4)
+    # the signature lookup still decides: 7 classes, and every two-atom
+    # label (all empty) is reported as a disagreement
+    assert len(cat.classes) == 7
+    assert len(cat.discrepancies) == 15
+    assert {d["kind"] for d in cat.discrepancies} == {"existence"}
+    assert not any(d["realized"] for d in cat.discrepancies)
+
+
+def test_cli_fails_on_empty_label_disagreement(monkeypatch, capsys):
+    main(["classify", "--n", "4", "--context", "atoms", "--output", "json"])
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(catalogs, "class_exists", _flip_pairs)
+    code = main(["classify", "--n", "4", "--context", "atoms",
+                 "--output", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "oracle cross-check FAILED" in captured.err
+    assert captured.out == clean
