@@ -212,16 +212,32 @@ class ClassDescriptor:
         return out
 
 
-def describe_class(f: Filter) -> ClassDescriptor:
-    verdict = class_exists(f)
+def _descriptor(f: Filter, verdict: ExistenceVerdict,
+                types: tuple[Partition, ...]) -> ClassDescriptor:
     return ClassDescriptor(
         label=f,
         meet_of_filter=meet_members(f),
         join_of_complement=complement_join_members(f),
         exists=verdict.exists,
         witness=verdict.witness,
-        types=type_set(f),
+        types=types,
     )
+
+
+def describe_class(f: Filter) -> ClassDescriptor:
+    verdict = class_exists(f)  # before type_set: measurably faster in verify
+    return _descriptor(f, verdict, type_set(f))
+
+
+def describe_empty(f: Filter) -> ClassDescriptor:
+    """Descriptor of a label its catalog lists as empty.
+
+    Carries the algebraic verdict and no types; the type-set oracle is not
+    run.  The antichain-style catalogs decide every label against its
+    signature group; the finest catalog lists every non-principal filter,
+    which the paper proves empty.
+    """
+    return _descriptor(f, class_exists(f), ())
 
 
 def enumerate_filters(context: PropertyContext,
@@ -326,14 +342,13 @@ def oracle_cross_check(context: PropertyContext,
 
 def class_record(d: ClassDescriptor) -> dict:
     """One JSON-ready record per filter for the report stream."""
+    mins = d.label.minimal_ideals()
     return {
-        "label": [str(i) for i in d.label.minimal_ideals()],
+        "label": [str(i) for i in mins],
         "exists": d.exists,
         "witness": str(d.witness) if d.witness is not None else None,
         "type_set": [str(p) for p in d.types],
-        "canonical_generator": (str(d.label.minimal_ideals()[0])
-                                if len(d.label.minimal_ideals()) == 1
-                                else None),
+        "canonical_generator": str(mins[0]) if len(mins) == 1 else None,
     }
 
 

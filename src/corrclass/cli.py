@@ -143,7 +143,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if config.output == "json":
         print(cat.catalog_json(catalog))
     elif config.output == "jsonl":
-        descriptors = catalog.classes + [cf.describe_class(f)
+        descriptors = catalog.classes + [cf.describe_empty(f)
                                          for f in catalog.empties]
         print(cf.class_report_jsonl(descriptors))
     elif config.letters:
@@ -208,15 +208,12 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
            f"{len(lattice)} partitions")
     record("chains_part_prod", idl.chain_check_part_prod(lattice)["ok"])
 
-    meets_ok = True
-    for i in range(len(lattice)):
-        pi = idl.principal_ideal(lattice, i)
-        for j in range(i, len(lattice)):
-            pj = idl.principal_ideal(lattice, j)
-            pm = idl.principal_ideal(lattice, lattice.meet_index(i, j))
-            if pi.members & pj.members != pm.members:
-                meets_ok = False
-    record("principal_ideal_meets", meets_ok)
+    m = len(lattice)
+    principals = [idl.principal_ideal(lattice, i).members for i in range(m)]
+    meet = lattice.meet_index
+    record("principal_ideal_meets", all(
+        principals[i] & principals[j] == principals[meet(i, j)]
+        for i in range(m) for j in range(i, m)))
 
     universe = (idl.enumerate_ideals(lattice)
                 if args.n <= idl.FULL_ENUMERATION_MAX_N else None)

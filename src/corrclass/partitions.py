@@ -14,7 +14,10 @@ from typing import Iterable, Iterator
 
 from .poset import Poset, bits
 
-MAX_N = 8  # Bell(8) = 4140; the order relation above this gets impractical
+# Bell(8) = 4140 partitions build in about 0.4 s; Bell(9) = 21147 take
+# about 10 s (2-vCPU x86-64 VM), most of it Poset._validate over 1.6M
+# comparable pairs, and every quadratic check past the build gets worse.
+MAX_N = 8
 
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -206,8 +209,29 @@ def all_partitions(n: int) -> Iterator[Partition]:
         yield Partition(n, masks)
 
 
+def _pair_mask(blocks: Iterable[int]) -> int:
+    """The label pairs sharing a block: bit b(b-1)/2 + a for a < b."""
+    mask = 0
+    for block in blocks:
+        members = list(bits(block))
+        for x, b in enumerate(members):
+            for a in members[:x]:
+                mask |= 1 << (b * (b - 1) // 2 + a)
+    return mask
+
+
 class PartitionLattice:
-    """All partitions of fixed n, indexed, with the refinement order."""
+    """All partitions of fixed n, indexed, with the refinement order.
+
+    The order is built from label-pair masks: ``pairs[i]`` holds the label
+    pairs sharing a block of partition i, ``together[q]`` is the mask of
+    partitions joining the pair q, and ζ refines ξ iff the pairs of ζ are
+    among those of ξ.  So the partitions below ξ are the complement of the
+    OR of ``together`` over the pairs ξ keeps apart.  The blockwise meet
+    joins exactly the pairs both partitions join, so ``meet_index`` is a
+    lookup on ``pairs[i] & pairs[j]``; ``join_index`` merges overlapping
+    blocks and looks up the pairs of the result.
+    """
 
     def __init__(self, n: int, max_n: int = MAX_N):
         if not 1 <= n <= max_n:
@@ -216,17 +240,24 @@ class PartitionLattice:
         self.partitions: tuple[Partition, ...] = tuple(all_partitions(n))
         self.index: dict[Partition, int] = {
             p: i for i, p in enumerate(self.partitions)}
-        m = len(self.partitions)
-        below = [0] * m
-        for i, xi in enumerate(self.partitions):
-            for j, ups in enumerate(self.partitions):
-                if ups.refines(xi):
-                    below[i] |= 1 << j
+        self.pairs: tuple[int, ...] = tuple(
+            _pair_mask(p.blocks) for p in self.partitions)
+        self._by_pairs = {mask: i for i, mask in enumerate(self.pairs)}
+        full = (1 << len(self.partitions)) - 1
+        together = [0] * (n * (n - 1) // 2)
+        for i, mask in enumerate(self.pairs):
+            for q in bits(mask):
+                together[q] |= 1 << i
+        all_pairs = (1 << len(together)) - 1
+        below = []
+        for mask in self.pairs:
+            apart = 0
+            for q in bits(all_pairs & ~mask):
+                apart |= together[q]
+            below.append(full & ~apart)
         self.poset = Poset.from_leq(below)
         self.bottom_index = self.index[Partition.bottom(n)]
         self.top_index = self.index[Partition.top(n)]
-        self._meet_table: dict[tuple[int, int], int] = {}
-        self._join_table: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.partitions)
@@ -239,22 +270,19 @@ class PartitionLattice:
         return self.poset.leq(i, j)
 
     def meet_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        got = self._meet_table.get((i, j))
-        if got is None:
-            got = self.index[self.partitions[i].meet(self.partitions[j])]
-            self._meet_table[(i, j)] = got
-        return got
+        return self._by_pairs[self.pairs[i] & self.pairs[j]]
 
     def join_index(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        got = self._join_table.get((i, j))
-        if got is None:
-            got = self.index[self.partitions[i].join(self.partitions[j])]
-            self._join_table[(i, j)] = got
-        return got
+        merged = list(self.partitions[i].blocks)
+        for block in self.partitions[j].blocks:
+            rest = []
+            for b in merged:
+                if b & block:
+                    block |= b
+                else:
+                    rest.append(b)
+            merged = rest + [block]
+        return self._by_pairs[_pair_mask(merged)]
 
     def atoms(self) -> int:
         return self.poset.atoms()

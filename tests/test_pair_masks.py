@@ -1,0 +1,105 @@
+"""Level I built from label-pair masks, against the partition-level reference.
+
+``PartitionLattice`` derives its order from pair masks and its meet from
+``pairs[i] & pairs[j]``.  These tests rebuild the order from
+``Partition.refines`` and the meet and join from ``Partition.meet`` and
+``Partition.join`` (kept here only as the reference), pin the n = 7 CLI
+outputs recorded before the pair masks, and check that a wrong meet fails
+``verify``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from corrclass import catalogs
+from corrclass.classify import (class_record, class_report_jsonl,
+                                describe_class, describe_empty)
+from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
+from corrclass.partitions import PartitionLattice, enumerate_partitions
+
+
+def refines_relation(lattice):
+    """below[i] from the quadratic Partition.refines loop."""
+    ps = lattice.partitions
+    below = [0] * len(ps)
+    for i, xi in enumerate(ps):
+        for j, zeta in enumerate(ps):
+            if zeta.refines(xi):
+                below[i] |= 1 << j
+    return below
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_matches_refines(n):
+    lattice = enumerate_partitions(n)
+    below = refines_relation(lattice)
+    assert lattice.poset.below == below
+    above = [0] * len(below)
+    for i, mask in enumerate(below):
+        for j in range(len(below)):
+            if (mask >> j) & 1:
+                above[j] |= 1 << i
+    assert lattice.poset.above == above
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_meet_join_match_partitions(n):
+    lattice = enumerate_partitions(n)
+    ps, index = lattice.partitions, lattice.index
+    for i, a in enumerate(ps):
+        for j, b in enumerate(ps):
+            assert lattice.meet_index(i, j) == index[a.meet(b)]
+            assert lattice.join_index(i, j) == index[a.join(b)]
+
+
+def test_wrong_meet_fails_verify(monkeypatch, capsys):
+    # right only when the lower-indexed partition refines the other
+    monkeypatch.setattr(PartitionLattice, "meet_index",
+                        lambda self, i, j: min(i, j))
+    code = main(["verify", "--n", "4"])
+    out = capsys.readouterr().out
+    assert code == EXIT_INVARIANT
+    assert "FAIL principal_ideal_meets" in out.splitlines()
+
+
+# sha256 of the stdout of `corrclass ARGS`, recorded before Level I was
+# built from pair masks.
+N7_SHA256 = {
+    "lattice --n 7 --output dot":
+        "a44de831d9861542dbf8247cc967281a9d3f90c8f729a922b6285773763cc386",
+    "classify --n 7 --context k_part --output json":
+        "e6da97b37029a91800a259e943aa68a7a8d588c5d985dd9ae0258629a06d0520",
+    "classify --n 7 --context k_prod --output json":
+        "5e257744a2b969a771c7cb6e8811e892a3a9344fc3e80e1c99fe18ac5ad1ae46",
+    "verify --n 7 --context k_prod":
+        "05f427d2d08fb97238981341c11cc4100c4f5287f155e23a45fcd2572e6a9d18",
+}
+
+
+@pytest.mark.parametrize("args", sorted(N7_SHA256))
+def test_n7_outputs_pinned(capsys, args):
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N7_SHA256[args]
+
+
+@pytest.mark.parametrize("kind,n", [("atoms", 4), ("coatoms", 4),
+                                    ("full", 3)])
+def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
+    catalog = catalogs.catalog_for(kind, n)
+    assert catalog.empties
+    for f in catalog.empties:
+        assert class_record(describe_empty(f)) == class_record(
+            describe_class(f))
+    reference = class_report_jsonl(
+        catalog.classes + [describe_class(f) for f in catalog.empties])
+    code = main(["classify", "--n", str(n), "--context", kind,
+                 "--output", "jsonl"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == reference + "\n"
+    records = [json.loads(line) for line in out.splitlines()]
+    assert sum(r["exists"] for r in records) == len(catalog.classes)
