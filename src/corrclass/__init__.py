@@ -5,11 +5,11 @@ classifications, all cross-checked against a brute-force type oracle."""
 from .catalogs import (Catalog, atom_antichain_catalog, catalog_cover_check,
                        catalog_for, chain_catalog, coatom_antichain_catalog,
                        custom_catalog, finest_catalog)
-from .classify import (ClassDescriptor, Filter, class_exists, class_order,
-                       classes_equal, describe_class, enumerate_filters,
-                       lemma_principal_check, make_filter, oracle_cross_check,
-                       signature_groups, type_set)
-from .ideals import (Ideal, IdealPoset, PropertyContext, atom_context,
+from .classify import (ClassDescriptor, Filter, class_exists, class_mask,
+                       class_order, classes_equal, describe_class,
+                       enumerate_filters, lemma_principal_check, make_filter,
+                       oracle_cross_check, signature_groups, type_set)
+from .ideals import (Ideal, PropertyContext, atom_context,
                      chain_check_part_prod, coatom_context, enumerate_ideals,
                      full_context, ideal_stream, k_partitionability_context,
                      k_partitionable_ideal, k_producibility_context,
@@ -18,7 +18,6 @@ from .partitions import (Partition, PartitionLattice, all_partitions,
                          bell_number, enumerate_partitions)
 from .poset import CapExceeded, MissingExtremum, OrderViolation, Poset
 from .venn import (LabeledFamily, check_lemma_upset, counterexample_family,
-                   generic_family, intersection_class, random_family,
-                   three_label_posets)
+                   generic_family, random_family, three_label_posets)
 
 __version__ = "0.1.0"

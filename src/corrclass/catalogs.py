@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
-from .classify import (ClassDescriptor, Filter, class_exists,
-                       describe_class, enumerate_filters, make_filter,
-                       signature_groups)
-from .ideals import (IdealPoset, PropertyContext, atom_context, coatom_context,
+from .classify import (EXHAUSTIVE_CONTEXT_MAX, ClassDescriptor, Filter,
+                       class_exists, class_mask, describe_class,
+                       enumerate_filters, signature_groups)
+from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, full_context, k_partitionability_context,
-                     k_producibility_context, principal_ideal)
-from .partitions import (PartitionLattice, enumerate_partitions, shape_string,
-                         state_shape)
+                     k_producibility_context)
+from .partitions import PartitionLattice, enumerate_partitions, state_shape
 from .poset import CapExceeded, bits
 
-EXHAUSTIVE_FILTER_SCOPE = 25  # enumerate all filters only below 2^25 labels
 ANTICHAIN_FILTER_CAP = 1 << 21
 
 
@@ -32,8 +31,7 @@ class Catalog:
     classes: list[ClassDescriptor]
     empties: list[Filter]
     exhaustive: bool  # whether every filter of the context was examined
-    notes: dict = field(default_factory=dict)
-    # labels on which the algebraic verdict and the signature oracle differ
+    # labels on which the algebraic tests and the signature oracle disagree
     discrepancies: list[dict] = field(default_factory=list)
 
     @property
@@ -46,76 +44,92 @@ def _shape_summary(d: ClassDescriptor) -> str:
     return ", ".join(state_shape(s) for s in shapes) if shapes else "-"
 
 
+def _signature_catalog(kind: str, context: PropertyContext,
+                       order: Callable[[int, int], Any],
+                       cap: int | None = None) -> Catalog:
+    """Classify a context signature-first: each signature group is a class.
+
+    ``order(label, types)`` gives the sort key of the class with member
+    mask ``label`` and type mask ``types``.  Each class's algebraic verdict,
+    witness, type set and class mask are checked against its group; when
+    the context is small enough (or a chain, whose labels are all
+    principal), every other filter is listed as empty and must get a false
+    verdict.
+    """
+    if cap is not None and 2 ** len(context) > cap:
+        raise CapExceeded(
+            f"{2 ** len(context)} filters exceed the cap of {cap}")
+    groups = signature_groups(context)
+    classes: list[ClassDescriptor] = []
+    discrepancies: list[dict] = []
+    first_with_mask: dict[int, str] = {}
+    for label, group in sorted(groups.items(), key=lambda g: order(*g)):
+        d = describe_class(Filter(context, label))
+        name = str(d.label)
+        if not d.exists:
+            discrepancies.append({"kind": "existence", "label": name,
+                                  "exists": False, "realized": True})
+        elif d.witness not in d.types:
+            discrepancies.append({"kind": "witness", "label": name,
+                                  "witness": str(d.witness)})
+        if d.type_mask() != group:
+            discrepancies.append({"kind": "type_set", "label": name})
+        other = first_with_mask.setdefault(class_mask(d.label), name)
+        if other != name:
+            discrepancies.append({"kind": "equality",
+                                  "labels": [other, name]})
+        classes.append(d)
+    empties: list[Filter] = []
+    exhaustive = (len(context) <= EXHAUSTIVE_CONTEXT_MAX
+                  or context.is_chain())
+    if exhaustive:
+        for f in enumerate_filters(context, max_context=len(context)):
+            if f.members in groups:
+                continue
+            if class_exists(f).exists:
+                discrepancies.append({"kind": "existence", "label": str(f),
+                                      "exists": True, "realized": False})
+            empties.append(f)
+    return Catalog(kind, context, classes, empties, exhaustive,
+                   discrepancies=discrepancies)
+
+
+def _lowest_type(label: int, types: int) -> int:
+    return types & -types
+
+
+def _descending_size(label: int, types: int) -> int:
+    return -label.bit_count()
+
+
+def _upsets_order(context: PropertyContext):
+    """Sort key reproducing the order in which ``upsets`` emits labels."""
+    elements = context.poset.upset_order()
+    return lambda label, types: [label >> e & 1 for e in elements]
+
+
 def finest_catalog(n: int,
-                   ideal_poset: IdealPoset | None = None) -> Catalog:
+                   universe: PropertyContext | None = None) -> Catalog:
     """Classify against all properties at once: one class per partition.
 
-    Requires the full ideal poset, hence small n.  When the context is
-    small enough, every filter is enumerated and the rest are proved
-    empty; otherwise only the principal labels are examined.
+    Requires the full ideal universe, hence small n.  When the context is
+    small enough, every other filter is listed as empty; otherwise only
+    the classes are reported.
     """
-    lattice = (ideal_poset.lattice if ideal_poset is not None
-               else enumerate_partitions(n))
-    ip = ideal_poset if ideal_poset is not None else enumerate_ideals(lattice)
-    context = full_context(ip)
-    class_labels = []
-    for xi in lattice.partitions:
-        class_labels.append(make_filter(context, [principal_ideal(lattice, xi)]))
-    classes = [describe_class(f) for f in class_labels]
-    label_masks = {f.members for f in class_labels}
-    empties: list[Filter] = []
-    exhaustive = len(context) <= EXHAUSTIVE_FILTER_SCOPE
-    if exhaustive:
-        for f in enumerate_filters(context):
-            if f.members not in label_masks:
-                empties.append(f)
-    return Catalog("finest", context, classes, empties, exhaustive)
+    if universe is None:
+        universe = enumerate_ideals(enumerate_partitions(n))
+    return _signature_catalog("finest", full_context(universe), _lowest_type)
 
 
 def chain_catalog(context: PropertyContext) -> Catalog:
     """Classify against a chain of properties: one class per chain element.
 
-    Every filter of a chain is principal, so the scope is exhaustive by
-    construction.
+    Every filter of a chain is principal and realized, so the scope is
+    exhaustive and no label is empty.
     """
     if not context.is_chain():
         raise ValueError("context is not a chain")
-    order = sorted(range(len(context)),
-                   key=lambda i: context.poset.below[i].bit_count())
-    classes = [describe_class(make_filter(context, [i])) for i in order]
-    return Catalog("chain", context, classes, [], True)
-
-
-def _antichain_style_catalog(kind: str, context: PropertyContext,
-                             cap: int) -> Catalog:
-    """Decide every label from the signature groups, in filter order.
-
-    Each label's algebraic verdict is compared with the signature lookup,
-    and each realized label's type set with its signature group.
-    """
-    if 2 ** len(context) > cap:
-        raise CapExceeded(
-            f"{2 ** len(context)} filters exceed the cap of {cap}")
-    groups = signature_groups(context)
-    classes: list[ClassDescriptor] = []
-    empties: list[Filter] = []
-    discrepancies: list[dict] = []
-    for f in enumerate_filters(context, max_context=len(context)):
-        group = groups.get(f.members)
-        exists = class_exists(f).exists
-        if exists != (group is not None):
-            discrepancies.append({"kind": "existence", "label": str(f),
-                                  "exists": exists,
-                                  "realized": group is not None})
-        if group is None:
-            empties.append(f)
-            continue
-        d = describe_class(f)
-        if d.type_mask() != group:
-            discrepancies.append({"kind": "type_set", "label": str(f)})
-        classes.append(d)
-    return Catalog(kind, context, classes, empties, True,
-                   discrepancies=discrepancies)
+    return _signature_catalog("chain", context, _descending_size)
 
 
 def atom_antichain_catalog(n: int,
@@ -123,7 +137,8 @@ def atom_antichain_catalog(n: int,
                            cap: int = ANTICHAIN_FILTER_CAP) -> Catalog:
     """Classify against the principal ideals of the (n-1)-part partitions."""
     lattice = lattice if lattice is not None else enumerate_partitions(n)
-    return _antichain_style_catalog("atoms", atom_context(lattice), cap)
+    context = atom_context(lattice)
+    return _signature_catalog("atoms", context, _upsets_order(context), cap)
 
 
 def coatom_antichain_catalog(n: int,
@@ -134,7 +149,8 @@ def coatom_antichain_catalog(n: int,
     No closed form: every filter is checked one by one.
     """
     lattice = lattice if lattice is not None else enumerate_partitions(n)
-    return _antichain_style_catalog("coatoms", coatom_context(lattice), cap)
+    context = coatom_context(lattice)
+    return _signature_catalog("coatoms", context, _upsets_order(context), cap)
 
 
 def catalog_for(kind: str, n: int,
@@ -158,7 +174,8 @@ def custom_catalog(context: PropertyContext) -> Catalog:
     """Classify a caller-supplied context exhaustively."""
     if context.is_chain():
         return chain_catalog(context)
-    return _antichain_style_catalog("custom", context, ANTICHAIN_FILTER_CAP)
+    return _signature_catalog("custom", context, _upsets_order(context),
+                              ANTICHAIN_FILTER_CAP)
 
 
 def catalog_cover_check(catalog: Catalog) -> dict:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .ideals import Ideal, IdealPoset, PropertyContext
+from .ideals import Ideal, PropertyContext
 from .partitions import Partition
 from .poset import CapExceeded, bits
 
@@ -88,18 +88,29 @@ def full_filter(context: PropertyContext) -> Filter:
 
 def meet_members(f: Filter) -> int:
     """Partition mask of the intersection of the filter's ideals."""
+    ideals = f.context.ideals
     out = f.context.lattice.full_mask
-    for ideal in f.ideals():
-        out &= ideal.members
+    for i in bits(f.members):
+        out &= ideals[i].members
     return out
 
 
 def complement_join_members(f: Filter) -> int:
     """Partition mask of the union of the complement's ideals (0 if empty)."""
+    ideals = f.context.ideals
     out = 0
-    for ideal in f.complement_ideals():
-        out |= ideal.members
+    for i in bits(f.complement):
+        out |= ideals[i].members
     return out
+
+
+def class_mask(f: Filter) -> int:
+    """Partition mask of the class: the filter meet minus the complement join.
+
+    The class exists iff the mask is nonzero, and two labels carve out the
+    same class iff their masks are equal.
+    """
+    return meet_members(f) & ~complement_join_members(f)
 
 
 @dataclass(frozen=True)
@@ -109,15 +120,15 @@ class ExistenceVerdict:
 
 
 def class_exists(f: Filter) -> ExistenceVerdict:
-    """Nonemptiness test: the filter meet must not sink into the complement join.
+    """Nonemptiness test: the class mask must not be empty.
 
-    The witness is the refinement-minimal partition separating the two,
+    The witness is the refinement-minimal partition of the class mask,
     tie-broken by enumeration order.
     """
-    diff = meet_members(f) & ~complement_join_members(f)
-    if not diff:
+    mask = class_mask(f)
+    if not mask:
         return ExistenceVerdict(False, None)
-    minimal = f.context.lattice.poset.minimal(diff)
+    minimal = f.context.lattice.poset.minimal(mask)
     first = (minimal & -minimal).bit_length() - 1
     return ExistenceVerdict(True, f.context.lattice.partitions[first])
 
@@ -169,17 +180,12 @@ def _check_same_context(f: Filter, g: Filter) -> None:
 def classes_equal(f: Filter, g: Filter) -> bool:
     """Label-equivalence: both labels carve out the same class.
 
-    Evaluated literally on partition sets, where the filter meet and the
-    complement join live in the free set algebra over all partitions (the
-    context itself need not contain them).
+    Evaluated on partition sets, where the filter meet and the complement
+    join live in the free set algebra over all partitions (the context
+    itself need not contain them).
     """
     _check_same_context(f, g)
-    mf, jf = meet_members(f), complement_join_members(f)
-    mg, jg = meet_members(g), complement_join_members(g)
-    return ((mf & jg) & ~jf == 0
-            and mf & ~(jf | mg) == 0
-            and (mg & jf) & ~jg == 0
-            and mg & ~(jg | mf) == 0)
+    return class_mask(f) == class_mask(g)
 
 
 def class_order(f: Filter, g: Filter) -> str:
@@ -233,9 +239,8 @@ def describe_empty(f: Filter) -> ClassDescriptor:
     """Descriptor of a label its catalog lists as empty.
 
     Carries the algebraic verdict and no types; the type-set oracle is not
-    run.  The antichain-style catalogs decide every label against its
-    signature group; the finest catalog lists every non-principal filter,
-    which the paper proves empty.
+    run.  Every catalog lists a label as empty only when no partition has
+    it as its signature.
     """
     return _descriptor(f, class_exists(f), ())
 
@@ -253,7 +258,7 @@ def enumerate_filters(context: PropertyContext,
 
 
 def lemma_principal_check(f: Filter,
-                          universe: IdealPoset | None = None) -> dict:
+                          universe: PropertyContext | None = None) -> dict:
     """Check the principal-label identities for a filter.
 
     When the class is nonempty: the ideals of the context containing the
@@ -263,7 +268,7 @@ def lemma_principal_check(f: Filter,
     """
     mf = meet_members(f)
     jc = complement_join_members(f)
-    exists = bool(mf & ~jc)
+    exists = class_mask(f) != 0
     up_in_context = 0
     down_in_context = 0
     for i, ideal in enumerate(f.context.ideals):
@@ -292,17 +297,19 @@ def lemma_principal_check(f: Filter,
 
 
 def oracle_cross_check(context: PropertyContext,
-                       filters: Iterable[Filter],
-                       pair_limit: int | None = None) -> dict:
+                       filters: Iterable[Filter]) -> dict:
     """Differential test of the algebraic tests against the type-set oracle.
 
     Checks, for every filter, that the existence test agrees with type-set
-    nonemptiness, and for every pair (up to ``pair_limit``), that the
-    equality test agrees with type-set equality.
+    nonemptiness, and for every pair, that the equality test agrees with
+    type-set equality: the labels are grouped once by class mask and once
+    by type set, and the two groupings must coincide.
     """
     descriptors = [describe_class(f) for f in filters]
     discrepancies = []
-    for d in descriptors:
+    by_mask: dict[int, int] = {}
+    by_types: dict[tuple[Partition, ...], int] = {}
+    for k, d in enumerate(descriptors):
         if d.exists != bool(d.types):
             discrepancies.append({
                 "kind": "existence",
@@ -316,25 +323,21 @@ def oracle_cross_check(context: PropertyContext,
                 "label": str(d.label),
                 "witness": str(d.witness),
             })
-    pairs_checked = 0
-    done = False
-    for i, a in enumerate(descriptors):
-        for b in descriptors[i:]:
-            if pair_limit is not None and pairs_checked >= pair_limit:
-                done = True
-                break
-            pairs_checked += 1
-            if classes_equal(a.label, b.label) != (a.types == b.types):
-                discrepancies.append({
-                    "kind": "equality",
-                    "labels": [str(a.label), str(b.label)],
-                })
-        if done:
-            break
+        # each label's group is named by its first member; the groupings
+        # coincide iff every label names the same first member in both
+        first_same_mask = by_mask.setdefault(class_mask(d.label), k)
+        first_same_types = by_types.setdefault(d.types, k)
+        if first_same_mask != first_same_types:
+            other = descriptors[min(first_same_mask, first_same_types)]
+            discrepancies.append({
+                "kind": "equality",
+                "labels": [str(other.label), str(d.label)],
+            })
+    count = len(descriptors)
     return {
         "context_size": len(context),
-        "filters_checked": len(descriptors),
-        "pairs_checked": pairs_checked,
+        "filters_checked": count,
+        "pairs_checked": count * (count + 1) // 2,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }

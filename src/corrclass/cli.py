@@ -9,7 +9,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import catalogs as cat
 from . import classify as cf
@@ -28,46 +27,21 @@ LEVEL_II_MAX_N = 4
 LEVEL_III_MAX_N = 3
 
 
-@dataclass
-class RunConfig:
-    n: int
-    context_kind: str = "full"
-    context_file: str | None = None
-    output: str = "text"
-    seed: int = 0
-    max_n: int = 8
-    max_filters: int = 1 << 21
-    letters: bool = False
-
-
-def _load_context(config: RunConfig,
+def _read_context(path: str | None,
                   lattice: PartitionLattice) -> idl.PropertyContext:
-    kind = config.context_kind
-    if kind == "full":
-        return idl.full_context(idl.enumerate_ideals(lattice))
-    if kind == "k_part":
-        return idl.k_partitionability_context(lattice)
-    if kind == "k_prod":
-        return idl.k_producibility_context(lattice)
-    if kind == "atoms":
-        return idl.atom_context(lattice)
-    if kind == "coatoms":
-        return idl.coatom_context(lattice)
-    if kind == "custom":
-        if not config.context_file:
-            raise ValueError("--context custom requires --context-file")
-        ideals = []
-        with open(config.context_file, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    ideals.append(idl.parse_ideal(lattice, line))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{config.context_file}:{lineno}: {exc}") from exc
-        return idl.PropertyContext(lattice, ideals)
-    raise ValueError(f"unknown context kind {kind!r}")
+    """A custom context file: one ideal per nonblank line."""
+    if not path:
+        raise ValueError("--context custom requires --context-file")
+    ideals = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                ideals.append(idl.parse_ideal(lattice, line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return idl.PropertyContext(lattice, ideals)
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -88,16 +62,9 @@ def cmd_lattice(args: argparse.Namespace) -> int:
             print(f"level III rendering is limited to n <= {LEVEL_III_MAX_N}",
                   file=sys.stderr)
             return EXIT_CAP
-        ip = idl.enumerate_ideals(lattice)
-        context = idl.full_context(ip)
+        context = idl.full_context(idl.enumerate_ideals(lattice))
         filters = list(cf.enumerate_filters(context))
-        m = len(filters)
-        below = [0] * m
-        for i, a in enumerate(filters):
-            for j, b in enumerate(filters):
-                if b.members & ~a.members == 0:
-                    below[i] |= 1 << j
-        poset = Poset.from_leq(below)
+        poset = Poset.by_inclusion([f.members for f in filters])
         labels = [str(f) for f in filters]
     else:
         print(f"invalid level {args.level!r}", file=sys.stderr)
@@ -130,27 +97,22 @@ def _catalog_letters(catalog: cat.Catalog) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = RunConfig(n=args.n, context_kind=args.context,
-                       context_file=args.context_file, output=args.output,
-                       max_n=args.max_n, letters=args.letters)
-    lattice = enumerate_partitions(config.n, max_n=config.max_n)
-    if config.context_kind in ("full", "k_part", "k_prod", "atoms", "coatoms"):
-        catalog = cat.catalog_for(config.context_kind, config.n, lattice)
+    lattice = enumerate_partitions(args.n, max_n=args.max_n)
+    if args.context == "custom":
+        catalog = cat.custom_catalog(_read_context(args.context_file, lattice))
     else:
-        catalog = cat.custom_catalog(_load_context(config, lattice))
-    check = cf.oracle_cross_check(
-        catalog.context, (d.label for d in catalog.classes))
-    if config.output == "json":
+        catalog = cat.catalog_for(args.context, args.n, lattice)
+    if args.output == "json":
         print(cat.catalog_json(catalog))
-    elif config.output == "jsonl":
+    elif args.output == "jsonl":
         descriptors = catalog.classes + [cf.describe_empty(f)
                                          for f in catalog.empties]
         print(cf.class_report_jsonl(descriptors))
-    elif config.letters:
+    elif args.letters:
         print(_catalog_letters(catalog))
     else:
         print(cat.catalog_text(catalog))
-    if not check["ok"] or catalog.discrepancies:
+    if catalog.discrepancies:
         print("oracle cross-check FAILED", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
@@ -219,8 +181,7 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
                 if args.n <= idl.FULL_ENUMERATION_MAX_N else None)
     for kind, context in contexts:
         filters = list(cf.enumerate_filters(context))
-        rep = cf.oracle_cross_check(context, filters,
-                                    pair_limit=args.max_pairs)
+        rep = cf.oracle_cross_check(context, filters)
         record(f"oracle.{kind}", rep["ok"],
                f"{rep['filters_checked']} filters")
         lemma_ok = all(cf.lemma_principal_check(f, universe)["ok"]
@@ -232,7 +193,7 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
             record("oracle.full", False,
                    f"exhaustive run is limited to n <= {LEVEL_III_MAX_N}")
         else:
-            context = idl.full_context(idl.enumerate_ideals(lattice))
+            context = idl.full_context(universe)
             filters = list(cf.enumerate_filters(context))
             rep = cf.oracle_cross_check(context, filters)
             record("oracle.full", rep["ok"],
@@ -294,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the abstract subset-family lemmas instead")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--families", type=int, default=100)
-    p_ver.add_argument("--max-pairs", type=int, default=20000)
     p_ver.add_argument("--max-n", type=int, default=8)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -160,39 +160,17 @@ def ideal_stream(lattice: PartitionLattice,
         yield Ideal(lattice, mask)
 
 
-class IdealPoset:
-    """All nonempty ideals of a partition lattice, ordered by inclusion."""
-
-    def __init__(self, lattice: PartitionLattice, ideals: list[Ideal]):
-        self.lattice = lattice
-        self.ideals: tuple[Ideal, ...] = tuple(ideals)
-        self.index: dict[int, int] = {
-            ideal.members: i for i, ideal in enumerate(self.ideals)}
-        if len(self.index) != len(self.ideals):
-            raise ValueError("duplicate ideals")
-        m = len(self.ideals)
-        below = [0] * m
-        for i, a in enumerate(self.ideals):
-            for j, b in enumerate(self.ideals):
-                if a.contains(b):
-                    below[i] |= 1 << j
-        self.poset = Poset.from_leq(below)
-
-    def __len__(self) -> int:
-        return len(self.ideals)
-
-
 def enumerate_ideals(lattice: PartitionLattice,
                      max_n: int = FULL_ENUMERATION_MAX_N,
-                     cap: int | None = None) -> IdealPoset:
-    """Materialize the full ideal poset; refuses n beyond ``max_n``."""
+                     cap: int | None = None) -> PropertyContext:
+    """Every nonempty ideal, ordered by inclusion; refuses n beyond ``max_n``."""
     if lattice.n > max_n:
         raise CapExceeded(
             f"full ideal enumeration is limited to n <= {max_n}")
-    return IdealPoset(lattice, list(ideal_stream(lattice, cap=cap)))
+    return PropertyContext(lattice, list(ideal_stream(lattice, cap=cap)))
 
 
-def ideal_poset_json(ip: IdealPoset) -> str:
+def ideal_poset_json(ip: PropertyContext) -> str:
     """JSON export: nodes named by maximal elements, edges = cover pairs."""
     nodes = [{"id": i, "label": str(ideal), "size": len(ideal)}
              for i, ideal in enumerate(ip.ideals)]
@@ -219,13 +197,8 @@ class PropertyContext:
             ideal.members: i for i, ideal in enumerate(self.ideals)}
         if len(self.index) != len(self.ideals):
             raise ValueError("duplicate ideals in context")
-        m = len(self.ideals)
-        below = [0] * m
-        for i, a in enumerate(self.ideals):
-            for j, b in enumerate(self.ideals):
-                if a.contains(b):
-                    below[i] |= 1 << j
-        self.poset = Poset.from_leq(below)
+        self.poset = Poset.by_inclusion(
+            [ideal.members for ideal in self.ideals])
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -250,8 +223,9 @@ class PropertyContext:
         return out
 
 
-def full_context(ip: IdealPoset) -> PropertyContext:
-    return PropertyContext(ip.lattice, list(ip.ideals))
+def full_context(universe: PropertyContext) -> PropertyContext:
+    """The context of all properties: the enumerated ideal universe itself."""
+    return universe
 
 
 def k_partitionability_context(lattice: PartitionLattice) -> PropertyContext:
@@ -268,7 +242,7 @@ def atom_context(lattice: PartitionLattice) -> PropertyContext:
     """Principal ideals of the partitions with n-1 parts."""
     if lattice.n < 2:
         raise ValueError("atom context needs n >= 2")
-    idxs = sorted(bits(lattice.atoms())) if lattice.n > 1 else []
+    idxs = sorted(bits(lattice.atoms()))
     return PropertyContext(lattice, [principal_ideal(lattice, i)
                                      for i in idxs])
 

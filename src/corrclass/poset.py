@@ -7,7 +7,7 @@ predecessor masks: ``below[i]`` has bit j set iff j <= i.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class OrderViolation(ValueError):
@@ -58,6 +58,13 @@ class Poset:
     def from_leq(cls, below: list[int]) -> "Poset":
         """Poset from a full (already transitive) predecessor-mask list."""
         return cls(below, _closed=True)
+
+    @classmethod
+    def by_inclusion(cls, masks: Sequence[int]) -> "Poset":
+        """Distinct bitmasks ordered by inclusion: i <= j iff masks[i] is a
+        subset of masks[j]."""
+        return cls.from_leq([sum(1 << j for j, b in enumerate(masks)
+                                 if not b & ~a) for a in masks])
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -230,10 +237,18 @@ class Poset:
 
     def upsets(self, include_empty: bool = False,
                cap: int | None = None) -> Iterator[int]:
-        """Stream all up-sets; the dual of :meth:`downsets`."""
-        order = sorted(range(self.m),
-                       key=lambda i: (self.above[i].bit_count(), i))
-        yield from self._closed_sets(self.above, order, include_empty, cap)
+        """Stream all up-sets; the dual of :meth:`downsets`.
+
+        The order is lexicographic over membership of the elements taken in
+        :meth:`upset_order`, absent before present.
+        """
+        yield from self._closed_sets(self.above, self.upset_order(),
+                                     include_empty, cap)
+
+    def upset_order(self) -> list[int]:
+        """The element order of :meth:`upsets`: by size of the upper set,
+        index-tied."""
+        return sorted(range(self.m), key=lambda i: (self.above[i].bit_count(), i))
 
     def _closed_sets(self, rel: list[int], order: list[int],
                      include_empty: bool, cap: int | None) -> Iterator[int]:

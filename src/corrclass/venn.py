@@ -50,13 +50,7 @@ class LabeledFamily:
         """Derive the label order from inclusion; subsets must be distinct."""
         if len(set(subsets)) != len(subsets):
             raise EmbeddingViolation("duplicate subsets break antisymmetry")
-        m = len(subsets)
-        below = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if subsets[j] & ~subsets[i] == 0:
-                    below[i] |= 1 << j
-        return cls(universe_size, Poset.from_leq(below), subsets)
+        return cls(universe_size, Poset.by_inclusion(subsets), subsets)
 
     @property
     def universe(self) -> int:
@@ -91,10 +85,6 @@ class LabeledFamily:
             "label_order_covers": self.labels.covers(),
             "incidence": [sorted(bits(a)) for a in self.assign],
         })
-
-
-def intersection_class(fam: LabeledFamily, label: int) -> int:
-    return fam.intersection_class(label)
 
 
 def check_lemma_upset(fam: LabeledFamily) -> dict:

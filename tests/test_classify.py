@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corrclass import classify
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 class_order, class_record, class_report_jsonl,
                                 classes_equal, complement_join_members,
@@ -9,6 +10,7 @@ from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 full_filter, lemma_principal_check,
                                 make_filter, meet_members, oracle_cross_check,
                                 type_set)
+from corrclass.cli import main
 from corrclass.ideals import (atom_context, full_context,
                               k_partitionability_context, principal_ideal)
 from corrclass.partitions import Partition
@@ -18,6 +20,16 @@ from corrclass.poset import CapExceeded
 @pytest.fixture(scope="module")
 def ctx3(ip3):
     return full_context(ip3)
+
+
+_class_mask = classify.class_mask
+
+
+def _full_label_as_first_atom(f):
+    """class_mask, with the full label given the first atom label's mask."""
+    if f.members == f.context.poset.full:
+        return _class_mask(Filter(f.context, 1))
+    return _class_mask(f)
 
 
 def principal_filter(ctx, partition):
@@ -179,10 +191,19 @@ class TestCrossCheck:
         assert report["filters_checked"] == 20
         assert report["pairs_checked"] == 20 * 21 // 2
 
-    def test_pair_limit(self, ctx3):
-        report = oracle_cross_check(ctx3, enumerate_filters(ctx3),
-                                    pair_limit=7)
-        assert report["pairs_checked"] == 7
+    def test_shared_class_mask_fails_equality(self, monkeypatch, capsys,
+                                              lat3):
+        # the all-atoms label (class 1|2|3) is given the mask of the
+        # first single-atom label: same mask, different type sets
+        monkeypatch.setattr(classify, "class_mask",
+                            _full_label_as_first_atom)
+        ctx = atom_context(lat3)
+        report = oracle_cross_check(ctx, enumerate_filters(ctx))
+        first, full = make_filter(ctx, [0]), full_filter(ctx)
+        assert {"kind": "equality",
+                "labels": [str(first), str(full)]} in report["discrepancies"]
+        assert main(["verify", "--n", "3", "--context", "atoms"]) == 3
+        assert "FAIL oracle.atoms" in capsys.readouterr().out
 
     def test_random_sub_contexts(self, ip4):
         from corrclass.ideals import PropertyContext

@@ -235,3 +235,25 @@ def test_principal_closure_intersection_is_meet(p):
                 continue
             assert (p.down_closure(1 << a) & p.down_closure(1 << b)
                     == p.down_closure(1 << g))
+
+
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=12, unique=True))
+def test_by_inclusion_matches_double_loop(masks):
+    below = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if b | a == a:
+                below[i] |= 1 << j
+    assert Poset.by_inclusion(masks).below == below
+
+
+def test_by_inclusion_rejects_duplicates():
+    with pytest.raises(OrderViolation):
+        Poset.by_inclusion([0b01, 0b11, 0b01])
+
+
+@given(posets())
+def test_upsets_lexicographic_over_upset_order(p):
+    order = p.upset_order()
+    emitted = [[q >> e & 1 for e in order] for q in p.upsets()]
+    assert emitted == sorted(emitted)

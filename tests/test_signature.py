@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from corrclass import catalogs
+from corrclass import catalogs, classify
 from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
                                 custom_catalog)
 from corrclass.classify import (ExistenceVerdict, class_exists, describe_class,
@@ -130,3 +130,35 @@ def test_cli_fails_on_empty_label_disagreement(monkeypatch, capsys):
     assert code == EXIT_INVARIANT
     assert "oracle cross-check FAILED" in captured.err
     assert captured.out == clean
+
+
+def _flip_singletons(f):
+    """class_exists, with the verdict of every one-ideal label inverted."""
+    verdict = class_exists(f)
+    if len(f) == 1:
+        return ExistenceVerdict(not verdict.exists, verdict.witness)
+    return verdict
+
+
+@pytest.mark.parametrize("kind,n", [("k_part", 4), ("full", 3)])
+def test_cli_fails_on_class_disagreement(monkeypatch, capsys, kind, n):
+    # the one-ideal label is a class in both contexts (the top ideal's
+    # filter): its flipped verdict must fail the run on its own
+    argv = ["classify", "--n", str(n), "--context", kind, "--output", "json"]
+    main(argv)
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(classify, "class_exists", _flip_singletons)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "oracle cross-check FAILED" in captured.err
+    assert captured.out == clean
+
+
+def test_shared_class_mask_recorded(monkeypatch, lat4):
+    monkeypatch.setattr(catalogs, "class_mask", lambda f: 1)
+    cat = atom_antichain_catalog(4, lat4)
+    first = str(cat.classes[0].label)
+    assert cat.discrepancies == [
+        {"kind": "equality", "labels": [first, str(d.label)]}
+        for d in cat.classes[1:]]
