@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable
 
-from .classify import (EXHAUSTIVE_CONTEXT_MAX, ClassDescriptor, Filter,
-                       class_exists, class_mask, describe_class,
-                       enumerate_filters, signature_groups)
+from .classify import (ClassDescriptor, Filter, cross_check, describe_class,
+                       enumerable, enumerate_filters, signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, full_context, k_partitionability_context,
                      k_producibility_context)
 from .partitions import PartitionLattice, enumerate_partitions, state_shape
-from .poset import CapExceeded, bits
-
-ANTICHAIN_FILTER_CAP = 1 << 21
+from .poset import bits
 
 
 @dataclass
@@ -46,50 +44,22 @@ def _shape_summary(d: ClassDescriptor) -> str:
 
 def _signature_catalog(kind: str, context: PropertyContext,
                        order: Callable[[int, int], Any],
-                       cap: int | None = None) -> Catalog:
+                       exhaustive: bool = True) -> Catalog:
     """Classify a context signature-first: each signature group is a class.
 
     ``order(label, types)`` gives the sort key of the class with member
-    mask ``label`` and type mask ``types``.  Each class's algebraic verdict,
-    witness, type set and class mask are checked against its group; when
-    the context is small enough (or a chain, whose labels are all
-    principal), every other filter is listed as empty and must get a false
-    verdict.
+    mask ``label`` and type mask ``types``.  When ``exhaustive``, every
+    other filter is listed as empty (``enumerate_filters`` refuses a
+    context too large for that before any label is described).  The
+    classes and the empties are checked by :func:`classify.cross_check`.
     """
-    if cap is not None and 2 ** len(context) > cap:
-        raise CapExceeded(
-            f"{2 ** len(context)} filters exceed the cap of {cap}")
     groups = signature_groups(context)
-    classes: list[ClassDescriptor] = []
-    discrepancies: list[dict] = []
-    first_with_mask: dict[int, str] = {}
-    for label, group in sorted(groups.items(), key=lambda g: order(*g)):
-        d = describe_class(Filter(context, label))
-        name = str(d.label)
-        if not d.exists:
-            discrepancies.append({"kind": "existence", "label": name,
-                                  "exists": False, "realized": True})
-        elif d.witness not in d.types:
-            discrepancies.append({"kind": "witness", "label": name,
-                                  "witness": str(d.witness)})
-        if d.type_mask() != group:
-            discrepancies.append({"kind": "type_set", "label": name})
-        other = first_with_mask.setdefault(class_mask(d.label), name)
-        if other != name:
-            discrepancies.append({"kind": "equality",
-                                  "labels": [other, name]})
-        classes.append(d)
-    empties: list[Filter] = []
-    exhaustive = (len(context) <= EXHAUSTIVE_CONTEXT_MAX
-                  or context.is_chain())
-    if exhaustive:
-        for f in enumerate_filters(context, max_context=len(context)):
-            if f.members in groups:
-                continue
-            if class_exists(f).exists:
-                discrepancies.append({"kind": "existence", "label": str(f),
-                                      "exists": True, "realized": False})
-            empties.append(f)
+    empties = ([f for f in enumerate_filters(context)
+                if f.members not in groups] if exhaustive else [])
+    classes = [describe_class(Filter(context, label))
+               for label, _ in sorted(groups.items(), key=lambda g: order(*g))]
+    discrepancies = cross_check(groups, chain(
+        classes, (describe_class(f, ()) for f in empties)))
     return Catalog(kind, context, classes, empties, exhaustive,
                    discrepancies=discrepancies)
 
@@ -118,7 +88,9 @@ def finest_catalog(n: int,
     """
     if universe is None:
         universe = enumerate_ideals(enumerate_partitions(n))
-    return _signature_catalog("finest", full_context(universe), _lowest_type)
+    context = full_context(universe)
+    return _signature_catalog("finest", context, _lowest_type,
+                              exhaustive=enumerable(context))
 
 
 def chain_catalog(context: PropertyContext) -> Catalog:
@@ -133,24 +105,22 @@ def chain_catalog(context: PropertyContext) -> Catalog:
 
 
 def atom_antichain_catalog(n: int,
-                           lattice: PartitionLattice | None = None,
-                           cap: int = ANTICHAIN_FILTER_CAP) -> Catalog:
+                           lattice: PartitionLattice | None = None) -> Catalog:
     """Classify against the principal ideals of the (n-1)-part partitions."""
     lattice = lattice if lattice is not None else enumerate_partitions(n)
     context = atom_context(lattice)
-    return _signature_catalog("atoms", context, _upsets_order(context), cap)
+    return _signature_catalog("atoms", context, _upsets_order(context))
 
 
 def coatom_antichain_catalog(n: int,
-                             lattice: PartitionLattice | None = None,
-                             cap: int = ANTICHAIN_FILTER_CAP) -> Catalog:
+                             lattice: PartitionLattice | None = None) -> Catalog:
     """Classify against the principal ideals of the bipartitions.
 
     No closed form: every filter is checked one by one.
     """
     lattice = lattice if lattice is not None else enumerate_partitions(n)
     context = coatom_context(lattice)
-    return _signature_catalog("coatoms", context, _upsets_order(context), cap)
+    return _signature_catalog("coatoms", context, _upsets_order(context))
 
 
 def catalog_for(kind: str, n: int,
@@ -174,8 +144,7 @@ def custom_catalog(context: PropertyContext) -> Catalog:
     """Classify a caller-supplied context exhaustively."""
     if context.is_chain():
         return chain_catalog(context)
-    return _signature_catalog("custom", context, _upsets_order(context),
-                              ANTICHAIN_FILTER_CAP)
+    return _signature_catalog("custom", context, _upsets_order(context))
 
 
 def catalog_cover_check(catalog: Catalog) -> dict:

@@ -18,7 +18,7 @@ from .ideals import Ideal, PropertyContext
 from .partitions import Partition
 from .poset import CapExceeded, bits
 
-EXHAUSTIVE_CONTEXT_MAX = 25  # 2^|context| filters; beyond this, callers choose
+EXHAUSTIVE_CONTEXT_MAX = 21  # ideals; a non-chain context has up to 2^21 labels
 
 
 class Filter:
@@ -113,10 +113,13 @@ def class_mask(f: Filter) -> int:
     return meet_members(f) & ~complement_join_members(f)
 
 
-@dataclass(frozen=True)
+# Not frozen: a verdict and a descriptor are built for every label, and a
+# frozen dataclass's __init__ costs about 1 µs more per object.
+@dataclass
 class ExistenceVerdict:
     exists: bool
     witness: Partition | None
+    mask: int  # the class mask the verdict was read from
 
 
 def class_exists(f: Filter) -> ExistenceVerdict:
@@ -127,10 +130,10 @@ def class_exists(f: Filter) -> ExistenceVerdict:
     """
     mask = class_mask(f)
     if not mask:
-        return ExistenceVerdict(False, None)
+        return ExistenceVerdict(False, None, 0)
     minimal = f.context.lattice.poset.minimal(mask)
     first = (minimal & -minimal).bit_length() - 1
-    return ExistenceVerdict(True, f.context.lattice.partitions[first])
+    return ExistenceVerdict(True, f.context.lattice.partitions[first], mask)
 
 
 def type_set(f: Filter) -> tuple[Partition, ...]:
@@ -200,12 +203,11 @@ def class_order(f: Filter, g: Filter) -> str:
     return "incomparable"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClassDescriptor:
     """A label together with its existence data and realizing types."""
     label: Filter
-    meet_of_filter: int
-    join_of_complement: int
+    mask: int  # class mask: the partitions the algebra puts in the class
     exists: bool
     witness: Partition | None
     types: tuple[Partition, ...]
@@ -218,42 +220,32 @@ class ClassDescriptor:
         return out
 
 
-def _descriptor(f: Filter, verdict: ExistenceVerdict,
-                types: tuple[Partition, ...]) -> ClassDescriptor:
-    return ClassDescriptor(
-        label=f,
-        meet_of_filter=meet_members(f),
-        join_of_complement=complement_join_members(f),
-        exists=verdict.exists,
-        witness=verdict.witness,
-        types=types,
-    )
+def describe_class(f: Filter,
+                   types: tuple[Partition, ...] | None = None) -> ClassDescriptor:
+    """The label's verdict and its types, by default from ``type_set``.
 
-
-def describe_class(f: Filter) -> ClassDescriptor:
-    verdict = class_exists(f)  # before type_set: measurably faster in verify
-    return _descriptor(f, verdict, type_set(f))
-
-
-def describe_empty(f: Filter) -> ClassDescriptor:
-    """Descriptor of a label its catalog lists as empty.
-
-    Carries the algebraic verdict and no types; the type-set oracle is not
-    run.  Every catalog lists a label as empty only when no partition has
-    it as its signature.
+    A catalog passes ``types=()`` for a label that no partition has as its
+    signature; the type-set oracle is then not run.
     """
-    return _descriptor(f, class_exists(f), ())
+    verdict = class_exists(f)  # before type_set: measurably faster in verify
+    return ClassDescriptor(f, verdict.mask, verdict.exists, verdict.witness,
+                           type_set(f) if types is None else types)
 
 
-def enumerate_filters(context: PropertyContext,
-                      max_context: int = EXHAUSTIVE_CONTEXT_MAX,
-                      cap: int | None = None) -> Iterator[Filter]:
+def enumerable(context: PropertyContext) -> bool:
+    """Whether every label of the context may be enumerated: a chain's
+    labels are its elements, any other context has up to 2^|context|."""
+    return len(context) <= EXHAUSTIVE_CONTEXT_MAX or context.is_chain()
+
+
+def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
     """Stream every filter of the context, deterministically."""
-    if len(context) > max_context:
+    if not enumerable(context):
         raise CapExceeded(
-            f"exhaustive filter enumeration is limited to contexts of"
-            f" size <= {max_context}")
-    for mask in context.poset.upsets(include_empty=False, cap=cap):
+            f"the context has {len(context)} ideals; exhaustive filter"
+            f" enumeration is limited to contexts of size"
+            f" <= {EXHAUSTIVE_CONTEXT_MAX}")
+    for mask in context.poset.upsets():
         yield Filter(context, mask)
 
 
@@ -268,7 +260,7 @@ def lemma_principal_check(f: Filter,
     """
     mf = meet_members(f)
     jc = complement_join_members(f)
-    exists = class_mask(f) != 0
+    exists = mf & ~jc != 0  # the class mask
     up_in_context = 0
     down_in_context = 0
     for i, ideal in enumerate(f.context.ideals):
@@ -296,44 +288,50 @@ def lemma_principal_check(f: Filter,
     return report
 
 
+def cross_check(groups: dict[int, int],
+                descriptors: Iterable[ClassDescriptor]) -> list[dict]:
+    """Differential test of the algebraic verdicts against the type oracles.
+
+    ``groups`` are the ``signature_groups`` of the labels' context.  Streams
+    the descriptors once.  For each label: the existence verdict must agree
+    with the types being nonempty, the witness must be one of the types,
+    and the type mask must equal the label's signature group (no types for
+    a label with no group).  Over all labels, the grouping by class mask
+    must coincide with the grouping by type set; each group is named by its
+    first label, and the groupings coincide iff every label names the same
+    first label in both.  Returns the discrepancies, each recorded as
+    ``{"kind": ..., "labels": [...]}``.
+    """
+    discrepancies = []
+    by_mask: dict[int, tuple[int, Filter]] = {}
+    by_types: dict[int, tuple[int, Filter]] = {}
+    for k, d in enumerate(descriptors):
+        types = d.type_mask()
+        if d.exists != bool(types):
+            discrepancies.append({"kind": "existence",
+                                  "labels": [str(d.label)]})
+        elif d.exists and d.witness not in d.types:
+            discrepancies.append({"kind": "witness",
+                                  "labels": [str(d.label)]})
+        if types != groups.get(d.label.members, 0):
+            discrepancies.append({"kind": "type_set",
+                                  "labels": [str(d.label)]})
+        first_same_mask = by_mask.setdefault(d.mask, (k, d.label))
+        first_same_types = by_types.setdefault(types, (k, d.label))
+        if first_same_mask[0] != first_same_types[0]:
+            other = min(first_same_mask, first_same_types)[1]
+            discrepancies.append({"kind": "equality",
+                                  "labels": [str(other), str(d.label)]})
+    return discrepancies
+
+
 def oracle_cross_check(context: PropertyContext,
                        filters: Iterable[Filter]) -> dict:
-    """Differential test of the algebraic tests against the type-set oracle.
-
-    Checks, for every filter, that the existence test agrees with type-set
-    nonemptiness, and for every pair, that the equality test agrees with
-    type-set equality: the labels are grouped once by class mask and once
-    by type set, and the two groupings must coincide.
-    """
-    descriptors = [describe_class(f) for f in filters]
-    discrepancies = []
-    by_mask: dict[int, int] = {}
-    by_types: dict[tuple[Partition, ...], int] = {}
-    for k, d in enumerate(descriptors):
-        if d.exists != bool(d.types):
-            discrepancies.append({
-                "kind": "existence",
-                "label": str(d.label),
-                "exists": d.exists,
-                "type_count": len(d.types),
-            })
-        if d.exists and d.witness is not None and d.witness not in d.types:
-            discrepancies.append({
-                "kind": "witness",
-                "label": str(d.label),
-                "witness": str(d.witness),
-            })
-        # each label's group is named by its first member; the groupings
-        # coincide iff every label names the same first member in both
-        first_same_mask = by_mask.setdefault(class_mask(d.label), k)
-        first_same_types = by_types.setdefault(d.types, k)
-        if first_same_mask != first_same_types:
-            other = descriptors[min(first_same_mask, first_same_types)]
-            discrepancies.append({
-                "kind": "equality",
-                "labels": [str(other.label), str(d.label)],
-            })
-    count = len(descriptors)
+    """:func:`cross_check` of the filters, each with its ``type_set``."""
+    filters = list(filters)
+    discrepancies = cross_check(signature_groups(context),
+                                (describe_class(f) for f in filters))
+    count = len(filters)
     return {
         "context_size": len(context),
         "filters_checked": count,

@@ -153,21 +153,19 @@ def chain_check_part_prod(lattice: PartitionLattice) -> dict:
     }
 
 
-def ideal_stream(lattice: PartitionLattice,
-                 cap: int | None = None) -> Iterator[Ideal]:
+def ideal_stream(lattice: PartitionLattice) -> Iterator[Ideal]:
     """Stream all nonempty ideals in a deterministic order."""
-    for mask in lattice.poset.downsets(include_empty=False, cap=cap):
+    for mask in lattice.poset.downsets():
         yield Ideal(lattice, mask)
 
 
-def enumerate_ideals(lattice: PartitionLattice,
-                     max_n: int = FULL_ENUMERATION_MAX_N,
-                     cap: int | None = None) -> PropertyContext:
-    """Every nonempty ideal, ordered by inclusion; refuses n beyond ``max_n``."""
-    if lattice.n > max_n:
-        raise CapExceeded(
-            f"full ideal enumeration is limited to n <= {max_n}")
-    return PropertyContext(lattice, list(ideal_stream(lattice, cap=cap)))
+def enumerate_ideals(lattice: PartitionLattice) -> PropertyContext:
+    """Every nonempty ideal, ordered by inclusion; refuses n beyond
+    ``FULL_ENUMERATION_MAX_N``."""
+    if lattice.n > FULL_ENUMERATION_MAX_N:
+        raise CapExceeded(f"full ideal enumeration is limited to"
+                          f" n <= {FULL_ENUMERATION_MAX_N}")
+    return PropertyContext(lattice, list(ideal_stream(lattice)))
 
 
 def ideal_poset_json(ip: PropertyContext) -> str:

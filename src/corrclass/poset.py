@@ -226,24 +226,19 @@ class Poset:
         """A fixed linear extension: by size of the lower set, index-tied."""
         return sorted(range(self.m), key=lambda i: (self.below[i].bit_count(), i))
 
-    def downsets(self, include_empty: bool = False,
-                 cap: int | None = None) -> Iterator[int]:
-        """Stream all down-sets, in a deterministic order.
-
-        Raises :class:`CapExceeded` once more than ``cap`` sets were emitted.
-        """
+    def downsets(self, include_empty: bool = False) -> Iterator[int]:
+        """Stream all down-sets, in a deterministic order."""
         yield from self._closed_sets(self.below, self.linear_extension(),
-                                     include_empty, cap)
+                                     include_empty)
 
-    def upsets(self, include_empty: bool = False,
-               cap: int | None = None) -> Iterator[int]:
+    def upsets(self, include_empty: bool = False) -> Iterator[int]:
         """Stream all up-sets; the dual of :meth:`downsets`.
 
         The order is lexicographic over membership of the elements taken in
         :meth:`upset_order`, absent before present.
         """
         yield from self._closed_sets(self.above, self.upset_order(),
-                                     include_empty, cap)
+                                     include_empty)
 
     def upset_order(self) -> list[int]:
         """The element order of :meth:`upsets`: by size of the upper set,
@@ -251,9 +246,8 @@ class Poset:
         return sorted(range(self.m), key=lambda i: (self.above[i].bit_count(), i))
 
     def _closed_sets(self, rel: list[int], order: list[int],
-                     include_empty: bool, cap: int | None) -> Iterator[int]:
+                     include_empty: bool) -> Iterator[int]:
         strict = {e: rel[e] & ~(1 << e) for e in order}
-        emitted = 0
         # Depth-first over the linear extension; at each element the
         # exclude-branch precedes the include-branch.
         stack = [(0, 0)]
@@ -261,10 +255,6 @@ class Poset:
             t, acc = stack.pop()
             if t == len(order):
                 if acc or include_empty:
-                    emitted += 1
-                    if cap is not None and emitted > cap:
-                        raise CapExceeded(
-                            f"more than {cap} closed sets in enumeration")
                     yield acc
                 continue
             e = order[t]

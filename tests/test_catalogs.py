@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corrclass import classify
 from corrclass.catalogs import (Catalog, atom_antichain_catalog,
                                 catalog_cover_check, catalog_for,
                                 catalog_json, catalog_text, chain_catalog,
@@ -130,9 +131,11 @@ class TestAntichains:
         assert len(full) == 1
         assert full[0].types == (Partition.bottom(4),)
 
-    def test_cap(self, lat4):
+    def test_cap(self, monkeypatch, lat4):
+        # the atom context at n=4 has 6 ideals
+        monkeypatch.setattr(classify, "EXHAUSTIVE_CONTEXT_MAX", 5)
         with pytest.raises(CapExceeded):
-            atom_antichain_catalog(4, lat4, cap=8)
+            atom_antichain_catalog(4, lat4)
 
 
 class TestDispatch:

@@ -221,8 +221,8 @@ class TestDescriptors:
         f = principal_filter(ctx3, Partition.parse("123"))
         d = describe_class(f)
         assert isinstance(d, ClassDescriptor)
-        assert d.meet_of_filter == meet_members(f)
-        assert d.join_of_complement == complement_join_members(f)
+        assert d.mask == meet_members(f) & ~complement_join_members(f)
+        assert d.mask == class_exists(f).mask
         assert d.types == type_set(f)
         assert d.type_mask() == 1 << ctx3.lattice.index[Partition.parse("123")]
 

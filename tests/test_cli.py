@@ -131,9 +131,15 @@ class TestVerify:
         assert "PASS oracle.full (20 filters)" in out
 
     def test_exhaustive_refused_large_n(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "4", "--exhaustive")
-        assert code == EXIT_INVARIANT
-        assert "FAIL oracle.full" in out
+        # the full context has 346 ideals at n=4, and n=5 has no universe
+        code, out, err = run(capsys, "verify", "--n", "4", "--exhaustive")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith("cap exceeded: the full context at n=4 has 346")
+        code, out, err = run(capsys, "verify", "--n", "5", "--exhaustive")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith("cap exceeded: full ideal enumeration")
 
     def test_context_cap_before_work(self, capsys):
         # coatoms at n=6 has 31 ideals: refused before any check runs

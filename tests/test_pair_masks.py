@@ -15,7 +15,7 @@ import pytest
 
 from corrclass import catalogs
 from corrclass.classify import (class_record, class_report_jsonl,
-                                describe_class, describe_empty)
+                                describe_class)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.partitions import PartitionLattice, enumerate_partitions
 
@@ -92,7 +92,7 @@ def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
     catalog = catalogs.catalog_for(kind, n)
     assert catalog.empties
     for f in catalog.empties:
-        assert class_record(describe_empty(f)) == class_record(
+        assert class_record(describe_class(f, ())) == class_record(
             describe_class(f))
     reference = class_report_jsonl(
         catalog.classes + [describe_class(f) for f in catalog.empties])

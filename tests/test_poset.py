@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from corrclass.poset import (CapExceeded, MissingExtremum, OrderViolation,
-                             Poset, bits)
+from corrclass.poset import MissingExtremum, OrderViolation, Poset, bits
 
 
 def chain(m):
@@ -175,11 +174,6 @@ class TestEnumeration:
     def test_deterministic(self):
         p = diamond()
         assert list(p.downsets()) == list(p.downsets())
-
-    def test_cap(self):
-        p = antichain(4)
-        with pytest.raises(CapExceeded):
-            list(p.downsets(cap=3))
 
 
 def test_covers_chain():

@@ -1,12 +1,14 @@
 """Signature-first Level III against the filter-by-filter reference.
 
 The antichain-style catalogs decide each label by looking up its signature
-group.  These tests pin the catalog JSON bytes of every built-in kind, and
-compare the signature path with the old path (``describe_class`` on every
-filter, kept here only as the reference) and with ``type_set``.
+group.  These tests pin the catalog JSON bytes of every built-in kind and
+the ``verify`` and ``jsonl`` outputs, and compare the signature path with
+the old path (``describe_class`` on every filter, kept here only as the
+reference) and with ``type_set``.
 """
 
 import hashlib
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -17,9 +19,12 @@ from corrclass import catalogs, classify
 from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
                                 custom_catalog)
 from corrclass.classify import (ExistenceVerdict, class_exists, describe_class,
-                                enumerate_filters, signature_groups, type_set)
+                                enumerate_filters, oracle_cross_check,
+                                signature_groups, type_set)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
-from corrclass.ideals import PropertyContext, ideal_from_generators
+from corrclass.ideals import (PropertyContext, atom_context,
+                              ideal_from_generators,
+                              k_partitionability_context)
 from corrclass.partitions import enumerate_partitions
 
 # sha256 of `corrclass classify --n N --context KIND --output json` stdout,
@@ -52,10 +57,33 @@ def test_catalog_json_bytes_pinned(capsys, kind, n):
     assert digest == CATALOG_JSON_SHA256[kind, n]
 
 
+# sha256 of the stdout of `corrclass ARGS`, recorded before the catalogs and
+# verify shared one cross-check routine.
+CLI_SHA256 = {
+    "verify --n 3": "938fd37e8a465aa27a1c05e6bfc0fff770cf4d3d752e589299a8ce353e72d228",
+    "verify --n 4": "54b6d5b3bc89923195389bd74c85c5e40c8607384c969574ba672edfbc889c5b",
+    "verify --n 5": "bf1848cfc85b258833553116fa8cae557defad1310a5db4c421cd39640fafcc2",
+    "verify --n 3 --exhaustive": "79f3d3cb27d61061af400398d1dbb18721750dc7f089f80e311a4bd76ddaad44",
+    "verify --n 4 --context coatoms": "3bc14f9e52eef285dce4cd8759c4c9b04b3ff2d674548fb2d997e7cfb389f1ee",
+    "classify --n 4 --context atoms --output jsonl": "f34a37d5acc19f69e1c09cd674b3c210f3465c74c7ba800db1fd772a1b19b9c3",
+    "classify --n 5 --context atoms --output jsonl": "5a2734c34a129b6602f931324a661aaabcbd043e07b95ef5e63bb0ce4850595f",
+    "classify --n 4 --context coatoms --output jsonl": "ae59b56c06a9edad9f12c895f9f2c4638129a9041d636fc66a8f4e7c7c836d21",
+    "classify --n 5 --context coatoms --output jsonl": "46c5afddcc2d098670cd582b4a54d534107d6016f183940659dad38a308a4783",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_SHA256))
+def test_cli_outputs_pinned(capsys, args):
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_SHA256[args]
+
+
 def reference_catalog(context: PropertyContext) -> Catalog:
     """The filter-by-filter path: describe_class on every label."""
     classes, empties = [], []
-    for f in enumerate_filters(context, max_context=len(context)):
+    for f in enumerate_filters(context):
         d = describe_class(f)
         if d.exists:
             classes.append(d)
@@ -94,7 +122,7 @@ def test_signature_catalog_matches_reference(context):
     assert cat.empties == ref.empties
     assert catalog_json(cat) == catalog_json(ref)
     groups = signature_groups(context)
-    for f in enumerate_filters(context, max_context=len(context)):
+    for f in enumerate_filters(context):
         types = 0
         for p in type_set(f):
             types |= 1 << context.lattice.index[p]
@@ -105,25 +133,27 @@ def _flip_pairs(f):
     """class_exists, with the verdict of every two-ideal label inverted."""
     verdict = class_exists(f)
     if len(f) == 2:
-        return ExistenceVerdict(not verdict.exists, verdict.witness)
+        return ExistenceVerdict(not verdict.exists, verdict.witness,
+                                verdict.mask)
     return verdict
 
 
 def test_empty_label_disagreement_recorded(monkeypatch, lat4):
-    monkeypatch.setattr(catalogs, "class_exists", _flip_pairs)
+    monkeypatch.setattr(classify, "class_exists", _flip_pairs)
     cat = atom_antichain_catalog(4, lat4)
     # the signature lookup still decides: 7 classes, and every two-atom
     # label (all empty) is reported as a disagreement
     assert len(cat.classes) == 7
     assert len(cat.discrepancies) == 15
     assert {d["kind"] for d in cat.discrepancies} == {"existence"}
-    assert not any(d["realized"] for d in cat.discrepancies)
+    assert sorted(d["labels"] for d in cat.discrepancies) == sorted(
+        [str(f)] for f in cat.empties if len(f) == 2)
 
 
 def test_cli_fails_on_empty_label_disagreement(monkeypatch, capsys):
     main(["classify", "--n", "4", "--context", "atoms", "--output", "json"])
     clean = capsys.readouterr().out
-    monkeypatch.setattr(catalogs, "class_exists", _flip_pairs)
+    monkeypatch.setattr(classify, "class_exists", _flip_pairs)
     code = main(["classify", "--n", "4", "--context", "atoms",
                  "--output", "json"])
     captured = capsys.readouterr()
@@ -136,7 +166,8 @@ def _flip_singletons(f):
     """class_exists, with the verdict of every one-ideal label inverted."""
     verdict = class_exists(f)
     if len(f) == 1:
-        return ExistenceVerdict(not verdict.exists, verdict.witness)
+        return ExistenceVerdict(not verdict.exists, verdict.witness,
+                                verdict.mask)
     return verdict
 
 
@@ -155,10 +186,59 @@ def test_cli_fails_on_class_disagreement(monkeypatch, capsys, kind, n):
     assert captured.out == clean
 
 
+def _one_class_mask(f):
+    """class_exists, with every nonempty class given the same class mask."""
+    verdict = class_exists(f)
+    return replace(verdict, mask=1) if verdict.exists else verdict
+
+
 def test_shared_class_mask_recorded(monkeypatch, lat4):
-    monkeypatch.setattr(catalogs, "class_mask", lambda f: 1)
+    monkeypatch.setattr(classify, "class_exists", _one_class_mask)
     cat = atom_antichain_catalog(4, lat4)
     first = str(cat.classes[0].label)
     assert cat.discrepancies == [
         {"kind": "equality", "labels": [first, str(d.label)]}
         for d in cat.classes[1:]]
+
+
+@pytest.mark.parametrize("flipped", ["↑{↓{12|3}, ↓{13|2}, ↓{1|23}}",
+                                     "↑{↓{12|3}, ↓{13|2}}"])
+def test_catalog_and_oracle_record_alike(monkeypatch, lat3, flipped):
+    # one realized and one empty label of the non-chain atom context at
+    # n=3; each check path must report its flipped verdict the same way
+    context = atom_context(lat3)
+
+    def flip_one(f):
+        verdict = class_exists(f)
+        if str(f) == flipped:
+            return replace(verdict, exists=not verdict.exists)
+        return verdict
+
+    monkeypatch.setattr(classify, "class_exists", flip_one)
+    expected = [{"kind": "existence", "labels": [flipped]}]
+    assert custom_catalog(context).discrepancies == expected
+    report = oracle_cross_check(context, enumerate_filters(context))
+    assert report["discrepancies"] == expected
+
+
+def _first_type_only(f):
+    """type_set, cut down to its first type (the witness, for a chain)."""
+    return type_set(f)[:1]
+
+
+def test_type_set_disagreement_recorded(monkeypatch, capsys, lat4):
+    # verdicts, witnesses and groupings stay consistent; only the type
+    # sets of the classes with several types now differ from their groups
+    monkeypatch.setattr(classify, "type_set", _first_type_only)
+    context = k_partitionability_context(lat4)
+    expected = sorted([str(f)] for f in enumerate_filters(context)
+                      if len(type_set(f)) > 1)
+    assert len(expected) == 2
+    for discrepancies in (
+            custom_catalog(context).discrepancies,
+            oracle_cross_check(context,
+                               enumerate_filters(context))["discrepancies"]):
+        assert {d["kind"] for d in discrepancies} == {"type_set"}
+        assert sorted(d["labels"] for d in discrepancies) == expected
+    assert main(["verify", "--n", "4", "--context", "k_part"]) == EXIT_INVARIANT
+    assert "FAIL oracle.k_part" in capsys.readouterr().out
