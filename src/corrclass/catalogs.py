@@ -116,7 +116,10 @@ def coatom_antichain_catalog(n: int,
                              lattice: PartitionLattice | None = None) -> Catalog:
     """Classify against the principal ideals of the bipartitions.
 
-    No closed form: every filter is checked one by one.
+    The partition lattice is coatomistic, so the classes have a closed
+    form: one per partition below the top, realized by it alone.  The
+    classes come from the signature groups; the walk over every label
+    lists the empty ones.
     """
     lattice = lattice if lattice is not None else enumerate_partitions(n)
     context = coatom_context(lattice)

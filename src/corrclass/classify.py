@@ -22,9 +22,13 @@ EXHAUSTIVE_CONTEXT_MAX = 21  # ideals; a non-chain context has up to 2^21 labels
 
 
 class Filter:
-    """A nonempty up-closed set of context ideals: a class label."""
+    """A nonempty up-closed set of context ideals: a class label.
 
-    __slots__ = ("context", "members", "_hash")
+    A label from :func:`enumerate_filters` carries its minimal ideals and
+    its class mask from the walk; any other label computes them on use.
+    """
+
+    __slots__ = ("context", "members", "_mins", "_mask")
 
     def __init__(self, context: PropertyContext, members: int):
         if members == 0:
@@ -33,7 +37,20 @@ class Filter:
             raise ValueError("member set is not up-closed in the context")
         self.context = context
         self.members = members
-        self._hash = hash((id(context), members))
+        self._mins: int | None = None
+        self._mask: int | None = None
+
+    @classmethod
+    def _walked(cls, context: PropertyContext, members: int, mins: int,
+                mask: int) -> "Filter":
+        """A label emitted up-closed by the up-set walk, with the minimal
+        mask and class mask the walk carried to it."""
+        f = object.__new__(cls)
+        f.context = context
+        f.members = members
+        f._mins = mins
+        f._mask = mask
+        return f
 
     @property
     def complement(self) -> int:
@@ -46,15 +63,16 @@ class Filter:
         return tuple(self.context.ideals[i] for i in bits(self.complement))
 
     def minimal_ideals(self) -> tuple[Ideal, ...]:
-        mins = self.context.poset.minimal(self.members)
+        mins = self._mins
+        if mins is None:
+            mins = self.context.poset.minimal(self.members)
         return tuple(self.context.ideals[i] for i in bits(mins))
 
     def __len__(self) -> int:
         return self.members.bit_count()
 
     def __str__(self) -> str:
-        inner = ", ".join(str(i) for i in self.minimal_ideals())
-        return "↑{" + inner + "}"
+        return "↑{" + ", ".join(map(str, self.minimal_ideals())) + "}"
 
     def __repr__(self) -> str:
         return f"Filter({self})"
@@ -65,7 +83,7 @@ class Filter:
                 and self.members == other.members)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((id(self.context), self.members))
 
 
 def make_filter(context: PropertyContext,
@@ -108,8 +126,10 @@ def class_mask(f: Filter) -> int:
     """Partition mask of the class: the filter meet minus the complement join.
 
     The class exists iff the mask is nonzero, and two labels carve out the
-    same class iff their masks are equal.
+    same class iff their masks are equal.  A label from the walk carries it.
     """
+    if f._mask is not None:
+        return f._mask
     return meet_members(f) & ~complement_join_members(f)
 
 
@@ -239,14 +259,17 @@ def enumerable(context: PropertyContext) -> bool:
 
 
 def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
-    """Stream every filter of the context, deterministically."""
+    """Stream every filter of the context in :meth:`Poset.upsets` order,
+    each with the minimal mask and class mask carried by the walk."""
     if not enumerable(context):
         raise CapExceeded(
             f"the context has {len(context)} ideals; exhaustive filter"
             f" enumeration is limited to contexts of size"
             f" <= {EXHAUSTIVE_CONTEXT_MAX}")
-    for mask in context.poset.upsets():
-        yield Filter(context, mask)
+    weights = [ideal.members for ideal in context.ideals]
+    walk = context.poset.weighted_upsets(weights, context.lattice.full_mask)
+    for members, mins, meet, join in walk:
+        yield Filter._walked(context, members, mins, meet & ~join)
 
 
 def lemma_principal_check(f: Filter,

@@ -228,8 +228,9 @@ class Poset:
 
     def downsets(self, include_empty: bool = False) -> Iterator[int]:
         """Stream all down-sets, in a deterministic order."""
-        yield from self._closed_sets(self.below, self.linear_extension(),
-                                     include_empty)
+        for q, *_ in self._closed_sets(self.below, self.linear_extension(),
+                                       include_empty):
+            yield q
 
     def upsets(self, include_empty: bool = False) -> Iterator[int]:
         """Stream all up-sets; the dual of :meth:`downsets`.
@@ -237,8 +238,18 @@ class Poset:
         The order is lexicographic over membership of the elements taken in
         :meth:`upset_order`, absent before present.
         """
-        yield from self._closed_sets(self.above, self.upset_order(),
-                                     include_empty)
+        for q, *_ in self._closed_sets(self.above, self.upset_order(),
+                                       include_empty):
+            yield q
+
+    def weighted_upsets(self, weights: Sequence[int],
+                        top: int) -> Iterator[tuple[int, int, int, int]]:
+        """The nonempty up-sets U in :meth:`upsets` order, each as
+        ``(U, minimal(U), meet, join)``: ``meet`` is ``top`` ANDed with
+        ``weights[e]`` for every e in U, and ``join`` the OR of
+        ``weights[e]`` for every e outside U."""
+        return self._closed_sets(self.above, self.upset_order(), False,
+                                 weights, top)
 
     def upset_order(self) -> list[int]:
         """The element order of :meth:`upsets`: by size of the upper set,
@@ -246,21 +257,37 @@ class Poset:
         return sorted(range(self.m), key=lambda i: (self.above[i].bit_count(), i))
 
     def _closed_sets(self, rel: list[int], order: list[int],
-                     include_empty: bool) -> Iterator[int]:
+                     include_empty: bool, weights: Sequence[int] | None = None,
+                     top: int = 0) -> Iterator[tuple[int, int, int, int]]:
+        """The one walk over the sets closed under ``rel`` (``rel[e]`` is
+        what e forces in), as ``(members, extremal, meet, join)``.
+
+        ``extremal`` holds the members no other member forces in, ``meet``
+        is ``top`` ANDed with the members' weights and ``join`` the OR of
+        the non-members' weights.  Each value is updated by one operation
+        per step, so a set costs O(1) big-int operations however large.
+        """
+        if weights is None:
+            weights = [0] * self.m
         strict = {e: rel[e] & ~(1 << e) for e in order}
         # Depth-first over the linear extension; at each element the
-        # exclude-branch precedes the include-branch.
-        stack = [(0, 0)]
+        # exclude-branch precedes the include-branch.  The element taken in
+        # is extremal in the set: what it forces in was taken before it.
+        last = len(order)
+        stack = [(0, 0, 0, top, 0)]
         while stack:
-            t, acc = stack.pop()
-            if t == len(order):
+            t, acc, ext, meet, join = stack.pop()
+            if t == last:
                 if acc or include_empty:
-                    yield acc
+                    yield acc, ext, meet, join
                 continue
             e = order[t]
-            if strict[e] & acc == strict[e]:
-                stack.append((t + 1, acc | (1 << e)))
-            stack.append((t + 1, acc))
+            s = strict[e]
+            if s & acc == s:
+                bit = 1 << e
+                stack.append((t + 1, acc | bit, ext & ~s | bit,
+                              meet & weights[e], join))
+            stack.append((t + 1, acc, ext, meet, join | weights[e]))
 
     def is_chain(self, q: int) -> bool:
         """True iff every pair of elements of q is comparable."""

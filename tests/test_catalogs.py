@@ -8,11 +8,11 @@ from corrclass.catalogs import (Catalog, atom_antichain_catalog,
                                 catalog_json, catalog_text, chain_catalog,
                                 coatom_antichain_catalog, custom_catalog,
                                 finest_catalog)
-from corrclass.classify import type_set
-from corrclass.ideals import (PropertyContext, atom_context,
+from corrclass.classify import signature_groups, type_set
+from corrclass.ideals import (PropertyContext, atom_context, coatom_context,
                               k_partitionability_context,
                               k_producibility_context, principal_ideal)
-from corrclass.partitions import Partition
+from corrclass.partitions import Partition, bell_number, enumerate_partitions
 from corrclass.poset import CapExceeded
 
 
@@ -130,6 +130,18 @@ class TestAntichains:
         full = [d for d in cat.classes if len(d.label) == 7]
         assert len(full) == 1
         assert full[0].types == (Partition.bottom(4),)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coatom_classes_closed_form(self, n):
+        # the partition lattice is coatomistic: every partition but the top
+        # is the meet of the bipartitions above it, so it is the one type
+        # of its own class, and the top lies in no coatom ideal
+        lattice = enumerate_partitions(n)
+        groups = signature_groups(coatom_context(lattice))
+        assert len(groups) == bell_number(n) - 1
+        assert all(types.bit_count() == 1 for types in groups.values())
+        assert not any(types >> lattice.top_index & 1
+                       for types in groups.values())
 
     def test_cap(self, monkeypatch, lat4):
         # the atom context at n=4 has 6 ideals

@@ -251,3 +251,21 @@ def test_upsets_lexicographic_over_upset_order(p):
     order = p.upset_order()
     emitted = [[q >> e & 1 for e in order] for q in p.upsets()]
     assert emitted == sorted(emitted)
+
+
+@given(posets(), st.data())
+def test_weighted_upsets_carry_minimal_meet_join(p, data):
+    weights = data.draw(st.lists(st.integers(0, 255), min_size=p.m,
+                                 max_size=p.m))
+    top = 255
+    walked = list(p.weighted_upsets(weights, top))
+    assert [u for u, *_ in walked] == list(p.upsets())
+    for u, mins, meet, join in walked:
+        assert mins == p.minimal(u)
+        expected_meet, expected_join = top, 0
+        for e in range(p.m):
+            if u >> e & 1:
+                expected_meet &= weights[e]
+            else:
+                expected_join |= weights[e]
+        assert (meet, join) == (expected_meet, expected_join)

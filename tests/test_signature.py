@@ -4,7 +4,8 @@ The antichain-style catalogs decide each label by looking up its signature
 group.  These tests pin the catalog JSON bytes of every built-in kind and
 the ``verify`` and ``jsonl`` outputs, and compare the signature path with
 the old path (``describe_class`` on every filter, kept here only as the
-reference) and with ``type_set``.
+reference) and with ``type_set``.  The labels' carried minimal ideals and
+class masks are compared with the same values computed from scratch.
 """
 
 import hashlib
@@ -15,17 +16,20 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from corrclass import catalogs, classify
+from corrclass import catalogs, classify, ideals
 from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
                                 custom_catalog)
-from corrclass.classify import (ExistenceVerdict, class_exists, describe_class,
-                                enumerate_filters, oracle_cross_check,
+from corrclass.classify import (ExistenceVerdict, Filter, class_exists,
+                                class_mask, complement_join_members,
+                                describe_class, enumerate_filters,
+                                meet_members, oracle_cross_check,
                                 signature_groups, type_set)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.ideals import (PropertyContext, atom_context,
                               ideal_from_generators,
                               k_partitionability_context)
 from corrclass.partitions import enumerate_partitions
+from corrclass.poset import Poset, bits
 
 # sha256 of `corrclass classify --n N --context KIND --output json` stdout,
 # recorded before the signature path replaced per-label describe_class.
@@ -44,6 +48,8 @@ CATALOG_JSON_SHA256 = {
     ("coatoms", 3): "43bba5658d381c0add96eb8b2c679c88fea55062745359f744010e47bbd7d7b3",
     ("coatoms", 4): "c3ed4f89c7f30157f3d20aa332f9178f0260a2947968246c57ed0f9356e32ba1",
     ("coatoms", 5): "6278c71f481b0ae27ff774c97318d89a5768ebff254a9508e4f1102c3d33959b",
+    # recorded before the labels carried their class masks from the walk
+    ("atoms", 6): "bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3fb8085a094",
 }
 
 
@@ -69,6 +75,9 @@ CLI_SHA256 = {
     "classify --n 5 --context atoms --output jsonl": "5a2734c34a129b6602f931324a661aaabcbd043e07b95ef5e63bb0ce4850595f",
     "classify --n 4 --context coatoms --output jsonl": "ae59b56c06a9edad9f12c895f9f2c4638129a9041d636fc66a8f4e7c7c836d21",
     "classify --n 5 --context coatoms --output jsonl": "46c5afddcc2d098670cd582b4a54d534107d6016f183940659dad38a308a4783",
+    # recorded before the labels carried their class masks from the walk
+    "classify --n 6 --context atoms --output jsonl": "b0e29997a92e91e88b62f89519a70f2d70ed2cf7692940e9bb3290c75b5cb79a",
+    "classify --n 6 --context atoms --output text": "ec632a053a5809e4caf82bd7ec6b0731c68d5900acc3aca7151b3b0b5e4ebbfc",
 }
 
 
@@ -242,3 +251,96 @@ def test_type_set_disagreement_recorded(monkeypatch, capsys, lat4):
         assert sorted(d["labels"] for d in discrepancies) == expected
     assert main(["verify", "--n", "4", "--context", "k_part"]) == EXIT_INVARIANT
     assert "FAIL oracle.k_part" in capsys.readouterr().out
+
+
+def reference_upsets(poset):
+    """``Poset.upsets`` as it was before the walk carried any values, kept
+    here only as the reference emission order."""
+    order = poset.upset_order()
+    strict = {e: poset.above[e] & ~(1 << e) for e in order}
+    stack = [(0, 0)]
+    while stack:
+        t, acc = stack.pop()
+        if t == len(order):
+            if acc:
+                yield acc
+            continue
+        e = order[t]
+        if strict[e] & acc == strict[e]:
+            stack.append((t + 1, acc | (1 << e)))
+        stack.append((t + 1, acc))
+
+
+def assert_walk_carries(context):
+    """The walked labels come in the reference order, and each carries its
+    minimal ideals and its class mask as computed from scratch."""
+    walked = list(enumerate_filters(context))
+    assert [f.members for f in walked] == list(reference_upsets(context.poset))
+    for f in walked:
+        mins = context.poset.minimal(f.members)
+        assert f.minimal_ideals() == tuple(context.ideals[i]
+                                           for i in bits(mins))
+        assert class_mask(f) == meet_members(f) & ~complement_join_members(f)
+        assert str(f) == str(Filter(context, f.members))
+
+
+BUILT_IN_CONTEXTS = {
+    "full": lambda lat: ideals.full_context(ideals.enumerate_ideals(lat)),
+    "k_part": ideals.k_partitionability_context,
+    "k_prod": ideals.k_producibility_context,
+    "atoms": ideals.atom_context,
+    "coatoms": ideals.coatom_context,
+}
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in BUILT_IN_CONTEXTS
+                                    for n in range(2, 6)
+                                    if kind != "full" or n <= 3])
+def test_walk_carries_built_in_labels(kind, n):
+    assert_walk_carries(BUILT_IN_CONTEXTS[kind](_lattice(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_contexts())
+def test_walk_carries_custom_labels(context):
+    assert_walk_carries(context)
+
+
+def _corrupt_first_empty(monkeypatch):
+    """Make the label walk carry a nonempty class mask to its first empty
+    label, by dropping that label's complement join (the filter meet left
+    over holds the finest partition)."""
+    walk = Poset._closed_sets
+
+    def corrupted(self, rel, order, include_empty, weights=None, top=0):
+        done = weights is None
+        for members, mins, meet, join in walk(self, rel, order,
+                                              include_empty, weights, top):
+            if not done and not meet & ~join:
+                done = True
+                join = 0
+            yield members, mins, meet, join
+
+    monkeypatch.setattr(Poset, "_closed_sets", corrupted)
+
+
+def test_corrupted_walk_mask_recorded(monkeypatch, capsys, lat4):
+    argv = ["classify", "--n", "4", "--context", "atoms", "--output", "json"]
+    first_empty = next(str(f) for f in enumerate_filters(atom_context(lat4))
+                       if not class_mask(f))
+    main(argv)
+    clean = capsys.readouterr().out
+    _corrupt_first_empty(monkeypatch)
+    cat = atom_antichain_catalog(4, lat4)
+    # the label's nonempty mask also splits it from the other empties, so
+    # every later empty label is recorded as an equality against it
+    assert cat.discrepancies[0] == {"kind": "existence",
+                                    "labels": [first_empty]}
+    assert all(first_empty in d["labels"] for d in cat.discrepancies)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "oracle cross-check FAILED" in captured.err
+    assert captured.out == clean
+    assert main(["verify", "--n", "4", "--context", "atoms"]) == EXIT_INVARIANT
+    assert "FAIL oracle.atoms" in capsys.readouterr().out
