@@ -1,7 +1,9 @@
-"""The README's scale contract at n = 8, through the CLI.
+"""The README's scale contract, through the CLI.
 
 Bell(8) = 4140 partitions.  The budgets are loose on purpose; they fail
-when Level I falls back to a quadratic build (about 25 s at n = 8).
+when Level I falls back to a quadratic build (about 25 s at n = 8), or
+when ``verify --n 5`` (every label checked by ``type_set`` and the lemma,
+about 1.2 s) grows several times slower.
 """
 
 import json
@@ -16,6 +18,7 @@ from corrclass.cli import EXIT_OK, main
 N = 8
 BELL_8 = 4140
 BUDGET_S = 10
+VERIFY_N5_BUDGET_S = 5
 
 
 def stirling2(n, k):
@@ -57,3 +60,14 @@ def test_chain_catalog_n8(capsys, kind):
     types = [t for c in doc["classes"] for t in c["type_set"]]
     assert len(types) == len(set(types)) == BELL_8
     assert elapsed < BUDGET_S
+
+
+def test_verify_n5(capsys):
+    code, out, elapsed = run_timed(capsys, "verify", "--n", "5")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS ") for line in lines)
+    oracle = re.findall(r"^PASS oracle\.(\w+) \((\d+) filters\)$", out, re.M)
+    assert oracle == [("k_part", "5"), ("k_prod", "5"), ("atoms", "1023"),
+                      ("coatoms", "32767")]
+    assert elapsed < VERIFY_N5_BUDGET_S
