@@ -2,7 +2,8 @@
 
 Each catalog fixes a property context, decides which labels are realized,
 and returns the nonempty classes together with the labels proved empty
-(within the enumerated scope).
+(within the enumerated scope).  A class's types are its signature group;
+no catalog runs the label-by-label ``type_set`` oracle.
 """
 
 from __future__ import annotations
@@ -48,16 +49,19 @@ def _signature_catalog(kind: str, context: PropertyContext,
     """Classify a context signature-first: each signature group is a class.
 
     ``order(label, types)`` gives the sort key of the class with member
-    mask ``label`` and type mask ``types``.  When ``exhaustive``, every
-    other filter is listed as empty (``enumerate_filters`` refuses a
-    context too large for that before any label is described).  The
-    classes and the empties are checked by :func:`classify.cross_check`.
+    mask ``label`` and type mask ``types``; the class's types are those of
+    its group.  When ``exhaustive``, every other filter is listed as empty
+    (``enumerate_filters`` refuses a context too large for that before any
+    label is described).  :func:`classify.cross_check` holds each label's
+    verdict, class mask and witness to its group.
     """
     groups = signature_groups(context)
     empties = ([f for f in enumerate_filters(context)
                 if f.members not in groups] if exhaustive else [])
-    classes = [describe_class(Filter(context, label))
-               for label, _ in sorted(groups.items(), key=lambda g: order(*g))]
+    to_partitions = context.lattice.mask_to_partitions
+    classes = [describe_class(Filter(context, label), to_partitions(types))
+               for label, types in sorted(groups.items(),
+                                          key=lambda g: order(*g))]
     discrepancies = cross_check(groups, chain(
         classes, (describe_class(f, ()) for f in empties)))
     return Catalog(kind, context, classes, empties, exhaustive,

@@ -247,13 +247,18 @@ class ClassDescriptor:
             out |= 1 << lattice.index[p]
         return out
 
+    def witness_mask(self) -> int:
+        lattice = self.label.context.lattice
+        return 0 if self.witness is None else 1 << lattice.index[self.witness]
+
 
 def describe_class(f: Filter,
                    types: tuple[Partition, ...] | None = None) -> ClassDescriptor:
     """The label's verdict and its types, by default from ``type_set``.
 
-    A catalog passes ``types=()`` for a label that no partition has as its
-    signature; the type-set oracle is then not run.
+    A catalog passes the types of the label's signature group (``()`` for a
+    label that no partition has as its signature), so ``type_set`` runs only
+    where it is the second oracle, as in ``verify``.
     """
     verdict = class_exists(f)
     return ClassDescriptor(f, verdict.mask, verdict.exists, verdict.witness,
@@ -321,38 +326,32 @@ def lemma_principal_check(f: Filter,
 
 def cross_check(groups: dict[int, int],
                 descriptors: Iterable[ClassDescriptor]) -> list[dict]:
-    """Differential test of the algebraic verdicts against the type oracles.
+    """Differential test of the algebraic verdicts against the type oracle.
 
     ``groups`` are the ``signature_groups`` of the labels' context.  Streams
-    the descriptors once.  For each label: the existence verdict must agree
-    with the types being nonempty, the witness must be one of the types,
-    and the type mask must equal the label's signature group (no types for
-    a label with no group).  Over all labels, the grouping by class mask
-    must coincide with the grouping by type set; each group is named by its
-    first label, and the groupings coincide iff every label names the same
-    first label in both.  Returns the discrepancies, each recorded as
-    ``{"kind": ..., "labels": [...]}``.
+    the descriptors once and holds each label to its group (0 if it has
+    none), in this order: the existence verdict, the class mask, the type
+    mask, and the witness, a minimal element of a nonempty group and absent
+    from an empty one.  Groups of distinct labels are disjoint, so equal
+    masks then mean equal classes.  Returns one ``{"kind": <first failing
+    check>, "labels": [label]}`` per failing label.
     """
     discrepancies = []
-    by_mask: dict[int, tuple[int, Filter]] = {}
-    by_types: dict[int, tuple[int, Filter]] = {}
-    for k, d in enumerate(descriptors):
-        types = d.type_mask()
-        if d.exists != bool(types):
-            discrepancies.append({"kind": "existence",
-                                  "labels": [str(d.label)]})
-        elif d.exists and d.witness not in d.types:
-            discrepancies.append({"kind": "witness",
-                                  "labels": [str(d.label)]})
-        if types != groups.get(d.label.members, 0):
-            discrepancies.append({"kind": "type_set",
-                                  "labels": [str(d.label)]})
-        first_same_mask = by_mask.setdefault(d.mask, (k, d.label))
-        first_same_types = by_types.setdefault(types, (k, d.label))
-        if first_same_mask[0] != first_same_types[0]:
-            other = min(first_same_mask, first_same_types)[1]
-            discrepancies.append({"kind": "equality",
-                                  "labels": [str(other), str(d.label)]})
+    for d in descriptors:
+        group = groups.get(d.label.members, 0)
+        witness = d.witness_mask()
+        if d.exists != bool(group):
+            kind = "existence"
+        elif d.mask != group:
+            kind = "mask"
+        elif d.type_mask() != group:
+            kind = "type_set"
+        elif ((witness & d.label.context.lattice.poset.minimal(group)) == 0
+              if group else witness != 0):
+            kind = "witness"
+        else:
+            continue
+        discrepancies.append({"kind": kind, "labels": [str(d.label)]})
     return discrepancies
 
 

@@ -43,7 +43,7 @@ def _read_context(path: str | None,
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    lattice = enumerate_partitions(args.n, max_n=args.max_n)
+    lattice = enumerate_partitions(args.n)
     if args.level == "I":
         poset = lattice.poset
         labels = [str(p) for p in lattice.partitions]
@@ -51,14 +51,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         ip = idl.enumerate_ideals(lattice)
         poset = ip.poset
         labels = [str(i) for i in ip.ideals]
-    elif args.level == "III":
+    else:  # "III"
         context = idl.full_context(idl.enumerate_ideals(lattice))
         filters = list(cf.enumerate_filters(context))
         poset = Poset.by_inclusion([f.members for f in filters])
         labels = [str(f) for f in filters]
-    else:
-        print(f"invalid level {args.level!r}", file=sys.stderr)
-        return EXIT_INVARIANT
 
     if args.output == "dot":
         print(dot_poset(poset, labels, name=f"level_{args.level}_n{args.n}"))
@@ -87,7 +84,7 @@ def _catalog_letters(catalog: cat.Catalog) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    lattice = enumerate_partitions(args.n, max_n=args.max_n)
+    lattice = enumerate_partitions(args.n)
     if args.context == "custom":
         catalog = cat.custom_catalog(_read_context(args.context_file, lattice))
     else:
@@ -140,7 +137,7 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
                rep["nonempty_labels"] and fam.labels.is_up_closed(1))
         return lines, ok
 
-    lattice = enumerate_partitions(args.n, max_n=args.max_n)
+    lattice = enumerate_partitions(args.n)
     contexts = [("k_part", idl.k_partitionability_context(lattice)),
                 ("k_prod", idl.k_producibility_context(lattice))]
     if args.n >= 2:
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
     p_lat.add_argument("--dot", dest="output", action="store_const",
                        const="dot")
-    p_lat.add_argument("--max-n", type=int, default=8)
     p_lat.set_defaults(func=cmd_lattice)
 
     p_cls = sub.add_parser("classify", help="generate a classification")
@@ -215,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
     p_cls.add_argument("--letters", action="store_true",
                        help="collapse partitions to orbit shapes (ab|c)")
-    p_cls.add_argument("--max-n", type=int, default=8)
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
@@ -228,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the abstract subset-family lemmas instead")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--families", type=int, default=100)
-    p_ver.add_argument("--max-n", type=int, default=8)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -233,9 +233,9 @@ class PartitionLattice:
     blocks and looks up the pairs of the result.
     """
 
-    def __init__(self, n: int, max_n: int = MAX_N):
-        if not 1 <= n <= max_n:
-            raise ValueError(f"n must be in 1..{max_n}, got {n}")
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
         self.n = n
         self.partitions: tuple[Partition, ...] = tuple(all_partitions(n))
         self.index: dict[Partition, int] = {
@@ -294,6 +294,6 @@ class PartitionLattice:
         return tuple(self.partitions[i] for i in bits(mask))
 
 
-def enumerate_partitions(n: int, max_n: int = MAX_N) -> PartitionLattice:
+def enumerate_partitions(n: int) -> PartitionLattice:
     """Build the full partition lattice of {1..n}."""
-    return PartitionLattice(n, max_n=max_n)
+    return PartitionLattice(n)

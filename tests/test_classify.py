@@ -194,14 +194,13 @@ class TestCrossCheck:
     def test_shared_class_mask_fails_equality(self, monkeypatch, capsys,
                                               lat3):
         # the all-atoms label (class 1|2|3) is given the mask of the
-        # first single-atom label: same mask, different type sets
+        # first single-atom label: a nonempty mask, but not its group
         monkeypatch.setattr(classify, "class_mask",
                             _full_label_as_first_atom)
         ctx = atom_context(lat3)
         report = oracle_cross_check(ctx, enumerate_filters(ctx))
-        first, full = make_filter(ctx, [0]), full_filter(ctx)
-        assert {"kind": "equality",
-                "labels": [str(first), str(full)]} in report["discrepancies"]
+        assert report["discrepancies"] == [
+            {"kind": "mask", "labels": [str(full_filter(ctx))]}]
         assert main(["verify", "--n", "3", "--context", "atoms"]) == 3
         assert "FAIL oracle.atoms" in capsys.readouterr().out
 

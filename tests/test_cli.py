@@ -46,9 +46,18 @@ class TestLattice:
         assert "limited" in err
 
     def test_n_out_of_range(self, capsys):
-        code, _, err = run(capsys, "lattice", "--n", "9")
-        assert code == EXIT_INVARIANT
-        assert "error" in err
+        for command in ("lattice", "classify", "verify"):
+            code, out, err = run(capsys, command, "--n", "9")
+            assert code == EXIT_INVARIANT
+            assert out == ""
+            assert err == "error: n must be in 1..8, got 9\n"
+
+    def test_max_n_removed(self, capsys):
+        for command in ("lattice", "classify", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--n", "9", "--max-n", "9"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 class TestClassify:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from corrclass import catalogs, classify, ideals
 from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
-                                custom_catalog)
+                                coatom_antichain_catalog, custom_catalog)
 from corrclass.classify import (ExistenceVerdict, Filter, class_exists,
                                 class_mask, complement_join_members,
                                 describe_class, enumerate_filters,
@@ -27,7 +27,8 @@ from corrclass.classify import (ExistenceVerdict, Filter, class_exists,
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.ideals import (PropertyContext, atom_context,
                               ideal_from_generators,
-                              k_partitionability_context)
+                              k_partitionability_context,
+                              k_producibility_context)
 from corrclass.partitions import enumerate_partitions
 from corrclass.poset import Poset, bits
 
@@ -204,10 +205,68 @@ def _one_class_mask(f):
 def test_shared_class_mask_recorded(monkeypatch, lat4):
     monkeypatch.setattr(classify, "class_exists", _one_class_mask)
     cat = atom_antichain_catalog(4, lat4)
-    first = str(cat.classes[0].label)
-    assert cat.discrepancies == [
-        {"kind": "equality", "labels": [first, str(d.label)]}
-        for d in cat.classes[1:]]
+    groups = signature_groups(cat.context)
+    expected = [{"kind": "mask", "labels": [str(d.label)]}
+                for d in cat.classes if groups[d.label.members] != 1]
+    assert expected
+    assert cat.discrepancies == expected
+
+
+def _widened_mask(f):
+    """class_exists, with the top partition added to every nonempty class
+    mask that lacks it."""
+    verdict = class_exists(f)
+    top = 1 << f.context.lattice.top_index
+    if verdict.exists and not verdict.mask & top:
+        return replace(verdict, mask=verdict.mask | top)
+    return verdict
+
+
+def test_widened_class_mask_recorded(monkeypatch, capsys, lat4):
+    # the widened masks stay nonzero and pairwise distinct, so only the
+    # comparison with each label's signature group can see them
+    argv = ["classify", "--n", "4", "--context", "coatoms", "--output", "json"]
+    main(argv)
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(classify, "class_exists", _widened_mask)
+    discrepancies = coatom_antichain_catalog(4, lat4).discrepancies
+    assert discrepancies
+    assert {d["kind"] for d in discrepancies} == {"mask"}
+    assert main(["verify", "--n", "4"]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "FAIL oracle.atoms" in out
+    assert "FAIL oracle.coatoms" in out
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "oracle cross-check FAILED" in captured.err
+    assert captured.out == clean
+
+
+def _lowest_index_witness(f):
+    """class_exists, with the lowest-index partition of the class mask as
+    the witness: in the class, but not always refinement-minimal."""
+    verdict = class_exists(f)
+    if verdict.exists:
+        low = (verdict.mask & -verdict.mask).bit_length() - 1
+        return replace(verdict, witness=f.context.lattice.partitions[low])
+    return verdict
+
+
+def test_non_minimal_witness_recorded(monkeypatch, capsys, lat4):
+    context = k_producibility_context(lat4)
+    expected = sorted([str(f)] for f in enumerate_filters(context)
+                      if _lowest_index_witness(f) != class_exists(f))
+    assert expected
+    monkeypatch.setattr(classify, "class_exists", _lowest_index_witness)
+    for discrepancies in (
+            custom_catalog(context).discrepancies,
+            oracle_cross_check(context,
+                               enumerate_filters(context))["discrepancies"]):
+        assert {d["kind"] for d in discrepancies} == {"witness"}
+        assert sorted(d["labels"] for d in discrepancies) == expected
+    assert main(["verify", "--n", "4", "--context", "k_prod"]) == EXIT_INVARIANT
+    assert "FAIL oracle.k_prod" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flipped", ["↑{↓{12|3}, ↓{13|2}, ↓{1|23}}",
@@ -236,19 +295,17 @@ def _first_type_only(f):
 
 
 def test_type_set_disagreement_recorded(monkeypatch, capsys, lat4):
-    # verdicts, witnesses and groupings stay consistent; only the type
-    # sets of the classes with several types now differ from their groups
+    # verdicts, masks and witnesses stay consistent; only the type sets of
+    # the classes with several types now differ from their groups
     monkeypatch.setattr(classify, "type_set", _first_type_only)
     context = k_partitionability_context(lat4)
     expected = sorted([str(f)] for f in enumerate_filters(context)
                       if len(type_set(f)) > 1)
     assert len(expected) == 2
-    for discrepancies in (
-            custom_catalog(context).discrepancies,
-            oracle_cross_check(context,
-                               enumerate_filters(context))["discrepancies"]):
-        assert {d["kind"] for d in discrepancies} == {"type_set"}
-        assert sorted(d["labels"] for d in discrepancies) == expected
+    discrepancies = oracle_cross_check(
+        context, enumerate_filters(context))["discrepancies"]
+    assert {d["kind"] for d in discrepancies} == {"type_set"}
+    assert sorted(d["labels"] for d in discrepancies) == expected
     assert main(["verify", "--n", "4", "--context", "k_part"]) == EXIT_INVARIANT
     assert "FAIL oracle.k_part" in capsys.readouterr().out
 
@@ -306,6 +363,19 @@ def test_walk_carries_custom_labels(context):
     assert_walk_carries(context)
 
 
+@pytest.mark.parametrize("output", ["json", "jsonl", "text"])
+def test_classify_runs_no_type_set(monkeypatch, capsys, output):
+    # catalog classes take their types from their signature groups
+    def refuse(f):
+        raise AssertionError(f"type_set called on {f}")
+
+    monkeypatch.setattr(classify, "type_set", refuse)
+    for kind in BUILT_IN_CONTEXTS:
+        assert main(["classify", "--n", "4", "--context", kind,
+                     "--output", output]) == EXIT_OK
+    capsys.readouterr()
+
+
 def _corrupt_first_empty(monkeypatch):
     """Make the label walk carry a nonempty class mask to its first empty
     label, by dropping that label's complement join (the filter meet left
@@ -332,11 +402,8 @@ def test_corrupted_walk_mask_recorded(monkeypatch, capsys, lat4):
     clean = capsys.readouterr().out
     _corrupt_first_empty(monkeypatch)
     cat = atom_antichain_catalog(4, lat4)
-    # the label's nonempty mask also splits it from the other empties, so
-    # every later empty label is recorded as an equality against it
-    assert cat.discrepancies[0] == {"kind": "existence",
-                                    "labels": [first_empty]}
-    assert all(first_empty in d["labels"] for d in cat.discrepancies)
+    assert cat.discrepancies == [{"kind": "existence",
+                                  "labels": [first_empty]}]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_INVARIANT
