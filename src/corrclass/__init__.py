@@ -11,7 +11,7 @@ from .classify import (ClassDescriptor, Filter, class_exists, class_mask,
                        oracle_cross_check, signature_groups, type_set)
 from .ideals import (Ideal, PropertyContext, atom_context,
                      chain_check_part_prod, coatom_context, enumerate_ideals,
-                     full_context, ideal_stream, k_partitionability_context,
+                     full_context, k_partitionability_context,
                      k_partitionable_ideal, k_producibility_context,
                      k_producible_ideal, parse_ideal, principal_ideal)
 from .partitions import (Partition, PartitionLattice, all_partitions,

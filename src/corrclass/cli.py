@@ -1,6 +1,7 @@
 """Command-line front end: enumeration, classification, verification, export.
 
-Exit codes: 0 success, 2 enumeration cap breached, 3 invariant failure.
+Exit codes: 0 success, 2 enumeration cap breached, 3 invariant failure or
+bad input (usage errors included).
 """
 
 from __future__ import annotations
@@ -185,8 +186,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's own status 2 is EXIT_CAP
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVARIANT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrclass",
         description="Classification of multipartite partial-correlation "
                     "properties over partition lattices.")

@@ -8,9 +8,6 @@ The canonical display names an ideal by its maximal elements, e.g.
 
 from __future__ import annotations
 
-import json
-from typing import Iterator
-
 from .partitions import Partition, PartitionLattice
 from .poset import CapExceeded, Poset, bits
 
@@ -32,11 +29,9 @@ class Ideal:
         self._hash = hash((id(lattice), members))
         self._str: str | None = None  # display name, filled on first use
 
-    def maximal_indices(self) -> int:
-        return self.lattice.poset.maximal(self.members)
-
     def maximal_partitions(self) -> tuple[Partition, ...]:
-        return self.lattice.mask_to_partitions(self.maximal_indices())
+        return self.lattice.mask_to_partitions(
+            self.lattice.poset.maximal(self.members))
 
     def partitions(self) -> tuple[Partition, ...]:
         return self.lattice.mask_to_partitions(self.members)
@@ -153,28 +148,14 @@ def chain_check_part_prod(lattice: PartitionLattice) -> dict:
     }
 
 
-def ideal_stream(lattice: PartitionLattice) -> Iterator[Ideal]:
-    """Stream all nonempty ideals in a deterministic order."""
-    for mask in lattice.poset.downsets():
-        yield Ideal(lattice, mask)
-
-
 def enumerate_ideals(lattice: PartitionLattice) -> PropertyContext:
     """Every nonempty ideal, ordered by inclusion; refuses n beyond
     ``FULL_ENUMERATION_MAX_N``."""
     if lattice.n > FULL_ENUMERATION_MAX_N:
         raise CapExceeded(f"full ideal enumeration is limited to"
                           f" n <= {FULL_ENUMERATION_MAX_N}")
-    return PropertyContext(lattice, list(ideal_stream(lattice)))
-
-
-def ideal_poset_json(ip: PropertyContext) -> str:
-    """JSON export: nodes named by maximal elements, edges = cover pairs."""
-    nodes = [{"id": i, "label": str(ideal), "size": len(ideal)}
-             for i, ideal in enumerate(ip.ideals)]
-    edges = [{"from": i, "to": j} for i, j in ip.poset.covers()]
-    return json.dumps({"n": ip.lattice.n, "nodes": nodes, "edges": edges},
-                      ensure_ascii=False, indent=2)
+    return PropertyContext(lattice, [Ideal(lattice, mask)
+                                     for mask in lattice.poset.downsets()])
 
 
 class PropertyContext:
@@ -240,7 +221,7 @@ def atom_context(lattice: PartitionLattice) -> PropertyContext:
     """Principal ideals of the partitions with n-1 parts."""
     if lattice.n < 2:
         raise ValueError("atom context needs n >= 2")
-    idxs = sorted(bits(lattice.atoms()))
+    idxs = sorted(bits(lattice.poset.atoms()))
     return PropertyContext(lattice, [principal_ideal(lattice, i)
                                      for i in idxs])
 
@@ -249,6 +230,6 @@ def coatom_context(lattice: PartitionLattice) -> PropertyContext:
     """Principal ideals of the bipartitions."""
     if lattice.n < 2:
         raise ValueError("coatom context needs n >= 2")
-    idxs = sorted(bits(lattice.coatoms()))
+    idxs = sorted(bits(lattice.poset.coatoms()))
     return PropertyContext(lattice, [principal_ideal(lattice, i)
                                      for i in idxs])

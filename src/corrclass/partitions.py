@@ -14,9 +14,9 @@ from typing import Iterable, Iterator
 
 from .poset import Poset, bits
 
-# Bell(8) = 4140 partitions build in about 0.4 s; Bell(9) = 21147 take
-# about 10 s (2-vCPU x86-64 VM), most of it Poset._validate over 1.6M
-# comparable pairs, and every quadratic check past the build gets worse.
+# What holds n at 8 is `verify`'s principal_ideal_meets, quadratic in the
+# partitions: 8.6M pairs at n = 8, about 224M at n = 9.  The n = 9 pipeline
+# has not been measured.
 MAX_N = 8
 
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -101,14 +101,6 @@ class Partition:
     @property
     def max_part_size(self) -> int:
         return max(b.bit_count() for b in self.blocks)
-
-    def block_of(self, label: int) -> int:
-        """Mask of the block containing the 1-based label."""
-        bit = 1 << (label - 1)
-        for b in self.blocks:
-            if b & bit:
-                return b
-        raise ValueError(f"label {label} outside 1..{self.n}")
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside a block of other."""
@@ -223,13 +215,11 @@ def _pair_mask(blocks: Iterable[int]) -> int:
 class PartitionLattice:
     """All partitions of fixed n, indexed, with the refinement order.
 
-    The order is built from label-pair masks: ``pairs[i]`` holds the label
-    pairs sharing a block of partition i, ``together[q]`` is the mask of
-    partitions joining the pair q, and ζ refines ξ iff the pairs of ζ are
-    among those of ξ.  So the partitions below ξ are the complement of the
-    OR of ``together`` over the pairs ξ keeps apart.  The blockwise meet
-    joins exactly the pairs both partitions join, so ``meet_index`` is a
-    lookup on ``pairs[i] & pairs[j]``; ``join_index`` merges overlapping
+    ``pairs[i]`` holds the label pairs sharing a block of partition i, and
+    ζ refines ξ iff the pairs of ζ are among those of ξ, so the order is
+    inclusion of pair masks (:meth:`Poset.by_inclusion`).  The blockwise
+    meet joins exactly the pairs both partitions join, so ``meet_index`` is
+    a lookup on ``pairs[i] & pairs[j]``; ``join_index`` merges overlapping
     blocks and looks up the pairs of the result.
     """
 
@@ -243,19 +233,7 @@ class PartitionLattice:
         self.pairs: tuple[int, ...] = tuple(
             _pair_mask(p.blocks) for p in self.partitions)
         self._by_pairs = {mask: i for i, mask in enumerate(self.pairs)}
-        full = (1 << len(self.partitions)) - 1
-        together = [0] * (n * (n - 1) // 2)
-        for i, mask in enumerate(self.pairs):
-            for q in bits(mask):
-                together[q] |= 1 << i
-        all_pairs = (1 << len(together)) - 1
-        below = []
-        for mask in self.pairs:
-            apart = 0
-            for q in bits(all_pairs & ~mask):
-                apart |= together[q]
-            below.append(full & ~apart)
-        self.poset = Poset.from_leq(below)
+        self.poset = Poset.by_inclusion(self.pairs)
         self.bottom_index = self.index[Partition.bottom(n)]
         self.top_index = self.index[Partition.top(n)]
 
@@ -265,9 +243,6 @@ class PartitionLattice:
     @property
     def full_mask(self) -> int:
         return self.poset.full
-
-    def refines(self, i: int, j: int) -> bool:
-        return self.poset.leq(i, j)
 
     def meet_index(self, i: int, j: int) -> int:
         return self._by_pairs[self.pairs[i] & self.pairs[j]]
@@ -283,12 +258,6 @@ class PartitionLattice:
                     rest.append(b)
             merged = rest + [block]
         return self._by_pairs[_pair_mask(merged)]
-
-    def atoms(self) -> int:
-        return self.poset.atoms()
-
-    def coatoms(self) -> int:
-        return self.poset.coatoms()
 
     def mask_to_partitions(self, mask: int) -> tuple[Partition, ...]:
         return tuple(self.partitions[i] for i in bits(mask))

@@ -30,13 +30,23 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose(rows: Sequence[int], size: int) -> list[int]:
+    """The columns of a bit matrix: bit i of out[j] iff bit j of rows[i]."""
+    out = [0] * size
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return out
+
+
 class Poset:
     """Immutable finite poset.
 
-    Construct via :meth:`from_leq` (full relation, validated) or
-    :meth:`from_pairs` (arbitrary relation pairs, transitively closed and
-    then validated).  Antisymmetry or reflexivity violations raise
-    :class:`OrderViolation`.
+    Three constructors: :meth:`from_leq` (a full relation) and
+    :meth:`from_pairs` (relation pairs, transitively closed first) validate
+    the relation and raise :class:`OrderViolation` if it is not a partial
+    order; :meth:`by_inclusion` (distinct bitmasks ordered by inclusion)
+    validates nothing, because inclusion of distinct sets is a partial order.
     """
 
     __slots__ = ("m", "below", "above", "full")
@@ -48,11 +58,7 @@ class Poset:
         if not _closed:
             self._close()
         self._validate()
-        above = [0] * self.m
-        for i, mask in enumerate(self.below):
-            for j in bits(mask):
-                above[j] |= 1 << i
-        self.above = above
+        self.above = _transpose(self.below, self.m)
 
     @classmethod
     def from_leq(cls, below: list[int]) -> "Poset":
@@ -62,9 +68,40 @@ class Poset:
     @classmethod
     def by_inclusion(cls, masks: Sequence[int]) -> "Poset":
         """Distinct bitmasks ordered by inclusion: i <= j iff masks[i] is a
-        subset of masks[j]."""
-        return cls.from_leq([sum(1 << j for j, b in enumerate(masks)
-                                 if not b & ~a) for a in masks])
+        subset of masks[j].
+
+        With fewer bits than masks (Level I, the ideal universe) both
+        relations come from the columns ``holders[q]``, the elements holding
+        bit q: i's lower set is what holds no bit masks[i] lacks, its upper
+        set what holds every bit it has.  Otherwise (the contexts) ``below``
+        is built pairwise and transposed.
+        """
+        m = len(masks)
+        if len(set(masks)) != m:
+            raise OrderViolation("duplicate masks break antisymmetry")
+        if min(masks, default=0) < 0:
+            raise ValueError("a mask is negative")
+        full = (1 << m) - 1
+        width = max(masks, default=0).bit_length()
+        if width < m:
+            holders = _transpose(masks, width)
+            below, above = [], []
+            for a in masks:
+                apart, up = 0, full
+                for q, column in enumerate(holders):
+                    if a >> q & 1:
+                        up &= column
+                    else:
+                        apart |= column
+                below.append(full & ~apart)
+                above.append(up)
+        else:
+            below = [sum(1 << j for j, b in enumerate(masks) if not b & ~a)
+                     for a in masks]
+            above = _transpose(below, m)
+        p = object.__new__(cls)
+        p.m, p.below, p.above, p.full = m, below, above, full
+        return p
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -133,9 +170,6 @@ class Poset:
         for y in bits(q):
             out |= self.above[y]
         return out
-
-    def is_down_closed(self, q: int) -> bool:
-        return self.down_closure(q) == q
 
     def is_up_closed(self, q: int) -> bool:
         return self.up_closure(q) == q

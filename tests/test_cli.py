@@ -33,6 +33,7 @@ class TestLattice:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert len(doc["nodes"]) == 9
+        assert doc["nodes"][0]["label"].startswith("↓{")
 
     def test_level_three_count(self, capsys):
         code, out, _ = run(capsys, "lattice", "--n", "3", "--level", "III",
@@ -56,11 +57,20 @@ class TestLattice:
         for command in ("lattice", "classify", "verify"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--n", "9", "--max-n", "9"])
-            assert exc.value.code == 2
+            assert exc.value.code == EXIT_INVARIANT
             assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 class TestClassify:
+    def test_unknown_context_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "4", "--context", "bogus"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVARIANT
+        assert captured.out == ""
+        assert captured.err.startswith("usage: corrclass classify")
+        assert "invalid choice: 'bogus'" in captured.err
+
     def test_chain_text(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "4",
                            "--context", "k_prod")

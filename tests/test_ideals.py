@@ -2,7 +2,7 @@ import pytest
 
 from corrclass.ideals import (Ideal, atom_context, chain_check_part_prod,
                               coatom_context, enumerate_ideals, full_context,
-                              ideal_from_generators, ideal_poset_json,
+                              ideal_from_generators,
                               k_partitionability_context,
                               k_partitionable_ideal, k_producibility_context,
                               k_producible_ideal, parse_ideal, principal_ideal)
@@ -142,16 +142,6 @@ class TestEnumeration:
         assert bottom
         top_members = max(i.members for i in ip4.ideals)
         assert top_members == ip4.lattice.full_mask
-
-    def test_json_export(self, ip3):
-        import json
-        doc = json.loads(ideal_poset_json(ip3))
-        assert doc["n"] == 3
-        assert len(doc["nodes"]) == 9
-        by_id = {node["id"]: node["label"] for node in doc["nodes"]}
-        assert all(ip3.poset.covers()[k] is not None
-                   for k in range(len(doc["edges"])))
-        assert by_id[0].startswith("↓{")
 
 
 class TestContexts:

@@ -5,7 +5,9 @@
 ``Partition.refines`` and the meet and join from ``Partition.meet`` and
 ``Partition.join`` (kept here only as the reference), pin the n = 7 CLI
 outputs recorded before the pair masks, and check that a wrong meet fails
-``verify``.
+``verify``.  ``Poset.by_inclusion`` builds every inclusion order without
+``Poset._validate``; the validated path is run here instead, on each such
+order the CLI builds.
 """
 
 import hashlib
@@ -14,10 +16,13 @@ import json
 import pytest
 
 from corrclass import catalogs
+from corrclass import ideals as idl
 from corrclass.classify import (class_record, class_report_jsonl,
-                                describe_class)
+                                describe_class, enumerate_filters)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.partitions import PartitionLattice, enumerate_partitions
+from corrclass.poset import OrderViolation, Poset
+from corrclass.venn import LabeledFamily
 
 
 def refines_relation(lattice):
@@ -42,6 +47,48 @@ def test_order_matches_refines(n):
             if (mask >> j) & 1:
                 above[j] |= 1 << i
     assert lattice.poset.above == above
+
+
+CONTEXTS = (idl.k_partitionability_context, idl.k_producibility_context,
+            idl.atom_context, idl.coatom_context)
+
+
+def inclusion_posets(n):
+    """The inclusion orders built at n: Level I (n <= 7), every built-in
+    context (2 <= n <= 6), the ideal universe (n <= 4) and the
+    ``lattice --level III`` label order (n = 3)."""
+    lattice = enumerate_partitions(n)
+    yield lattice.poset
+    if 2 <= n <= 6:
+        for build in CONTEXTS:
+            yield build(lattice).poset
+    if n <= 4:
+        universe = idl.enumerate_ideals(lattice)
+        yield universe.poset
+        if n == 3:
+            yield Poset.by_inclusion(
+                [f.members for f in enumerate_filters(universe)])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_validated_path_agrees(n):
+    for p in inclusion_posets(n):
+        q = Poset.from_leq(p.below)
+        assert q.below == p.below
+        assert q.above == p.above
+
+
+def test_inclusion_orders_are_not_validated(monkeypatch):
+    def refuse(self):
+        raise OrderViolation("validation ran")
+
+    monkeypatch.setattr(Poset, "_validate", refuse)
+    for n in range(1, 8):
+        assert all(len(p) for p in inclusion_posets(n))
+    assert LabeledFamily.from_subsets(3, [0b001, 0b011, 0b110]).labels.leq(
+        0, 1)
+    with pytest.raises(OrderViolation, match="validation ran"):
+        Poset.from_pairs(2, [(0, 1), (1, 0)])
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corrclass.poset import MissingExtremum, OrderViolation, Poset, bits
 
@@ -231,19 +231,34 @@ def test_principal_closure_intersection_is_meet(p):
                     == p.down_closure(1 << g))
 
 
+# Up to 12 masks of up to 6 bits: both sides of by_inclusion's choice
+# between column masks (fewer bits than masks) and the pairwise loop, each
+# also pinned by an example.
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=12, unique=True))
+@example([0b00, 0b01, 0b10, 0b11])
+@example([0b001, 0b011, 0b110])
 def test_by_inclusion_matches_double_loop(masks):
     below = [0] * len(masks)
+    above = [0] * len(masks)
     for i, a in enumerate(masks):
         for j, b in enumerate(masks):
             if b | a == a:
                 below[i] |= 1 << j
-    assert Poset.by_inclusion(masks).below == below
+                above[j] |= 1 << i
+    p = Poset.by_inclusion(masks)
+    assert p.below == below
+    assert p.above == above
 
 
 def test_by_inclusion_rejects_duplicates():
     with pytest.raises(OrderViolation):
         Poset.by_inclusion([0b01, 0b11, 0b01])
+
+
+def test_by_inclusion_rejects_negative_masks():
+    # fewer bits than masks: the column walk would never end on a negative
+    with pytest.raises(ValueError, match="negative"):
+        Poset.by_inclusion([-1, 0b01, 0b10])
 
 
 @given(posets())
