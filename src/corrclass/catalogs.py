@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterator
 
 from .classify import (ClassDescriptor, Filter, cross_check, describe_class,
                        enumerable, enumerate_filters, signature_groups)
@@ -20,6 +21,8 @@ from .ideals import (PropertyContext, atom_context, coatom_context,
                      k_producibility_context)
 from .partitions import PartitionLattice, enumerate_partitions, state_shape
 from .poset import bits
+
+LABEL_BATCH = 512  # empty labels per chunk of catalog_json
 
 
 @dataclass
@@ -171,16 +174,24 @@ def catalog_cover_check(catalog: Catalog) -> dict:
     }
 
 
-def catalog_json(catalog: Catalog) -> str:
+def catalog_json(catalog: Catalog) -> Iterator[str]:
+    """The catalog as indented JSON, in chunks whose concatenation is
+    ``json.dumps(document, ensure_ascii=False, indent=2)``.
+
+    Everything but the empty labels is one ``json.dumps`` call.  The empty
+    labels, up to 2^21 of them, follow ``LABEL_BATCH`` to a chunk, each
+    name encoded by ``encode_basestring`` as ``json.dumps`` encodes it, so
+    the whole document is never held in memory.
+    """
     records = []
     for d in catalog.classes:
         records.append({
-            "label": [str(i) for i in d.label.minimal_ideals()],
+            "label": d.label.minimal_names(),
             "witness": str(d.witness) if d.witness is not None else None,
             "type_set": [str(p) for p in d.types],
             "state_shape": _shape_summary(d),
         })
-    return json.dumps({
+    head = json.dumps({
         "kind": catalog.kind,
         "n": catalog.lattice.n,
         "context_size": len(catalog.context),
@@ -188,8 +199,19 @@ def catalog_json(catalog: Catalog) -> str:
         "empty_label_count": len(catalog.empties),
         "exhaustive": catalog.exhaustive,
         "classes": records,
-        "empty_labels": [str(f) for f in catalog.empties],
+        "empty_labels": [],
     }, ensure_ascii=False, indent=2)
+    empties = catalog.empties
+    if not empties:
+        yield head
+        return
+    yield head[:-len("[]\n}")]  # reopen the trailing "empty_labels": []
+    sep = ",\n    "
+    for start in range(0, len(empties), LABEL_BATCH):
+        batch = empties[start:start + LABEL_BATCH]
+        yield (sep if start else "[\n    ") + sep.join(
+            [encode_basestring(str(f)) for f in batch])
+    yield "\n  ]\n}"
 
 
 def catalog_text(catalog: Catalog) -> str:

@@ -19,6 +19,8 @@ from .partitions import Partition
 from .poset import CapExceeded, bits
 
 EXHAUSTIVE_CONTEXT_MAX = 21  # ideals; a non-chain context has up to 2^21 labels
+# json.dumps(obj, ensure_ascii=False) without building an encoder per call
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class Filter:
@@ -56,17 +58,25 @@ class Filter:
     def complement(self) -> int:
         return self.context.poset.full & ~self.members
 
+    def _minimal_mask(self) -> int:
+        if self._mins is None:
+            return self.context.poset.minimal(self.members)
+        return self._mins
+
     def minimal_ideals(self) -> tuple[Ideal, ...]:
-        mins = self._mins
-        if mins is None:
-            mins = self.context.poset.minimal(self.members)
-        return tuple(self.context.ideals[i] for i in bits(mins))
+        ideals = self.context.ideals
+        return tuple(ideals[i] for i in bits(self._minimal_mask()))
+
+    def minimal_names(self) -> list[str]:
+        """Display names of the minimal ideals, from the context's names."""
+        names = self.context.ideal_names
+        return [names[i] for i in bits(self._minimal_mask())]
 
     def __len__(self) -> int:
         return self.members.bit_count()
 
     def __str__(self) -> str:
-        return "↑{" + ", ".join(map(str, self.minimal_ideals())) + "}"
+        return "↑{" + ", ".join(self.minimal_names()) + "}"
 
     def __repr__(self) -> str:
         return f"Filter({self})"
@@ -361,11 +371,9 @@ def oracle_cross_check(context: PropertyContext,
     filters = list(filters)
     discrepancies = cross_check(signature_groups(context),
                                 (describe_class(f) for f in filters))
-    count = len(filters)
     return {
         "context_size": len(context),
-        "filters_checked": count,
-        "pairs_checked": count * (count + 1) // 2,
+        "filters_checked": len(filters),
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }
@@ -373,16 +381,18 @@ def oracle_cross_check(context: PropertyContext,
 
 def class_record(d: ClassDescriptor) -> dict:
     """One JSON-ready record per filter for the report stream."""
-    mins = d.label.minimal_ideals()
+    names = d.label.minimal_names()
     return {
-        "label": [str(i) for i in mins],
+        "label": names,
         "exists": d.exists,
         "witness": str(d.witness) if d.witness is not None else None,
         "type_set": [str(p) for p in d.types],
-        "canonical_generator": str(mins[0]) if len(mins) == 1 else None,
+        "canonical_generator": names[0] if len(names) == 1 else None,
     }
 
 
-def class_report_jsonl(descriptors: Iterable[ClassDescriptor]) -> str:
-    return "\n".join(json.dumps(class_record(d), ensure_ascii=False)
-                     for d in descriptors)
+def class_report_jsonl(
+        descriptors: Iterable[ClassDescriptor]) -> Iterator[str]:
+    """One JSON line per descriptor, newline included, as it is consumed."""
+    for d in descriptors:
+        yield _encode_record(class_record(d)) + "\n"

@@ -91,10 +91,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         catalog = cat.catalog_for(args.context, args.n, lattice)
     if args.output == "json":
-        print(cat.catalog_json(catalog))
+        sys.stdout.writelines(cat.catalog_json(catalog))
+        sys.stdout.write("\n")
     elif args.output == "jsonl":
         empties = (cf.describe_class(f, ()) for f in catalog.empties)
-        print(cf.class_report_jsonl(chain(catalog.classes, empties)))
+        sys.stdout.writelines(
+            cf.class_report_jsonl(chain(catalog.classes, empties)))
     elif args.letters:
         print(_catalog_letters(catalog))
     else:

@@ -8,6 +8,8 @@ The canonical display names an ideal by its maximal elements, e.g.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .partitions import Partition, PartitionLattice
 from .poset import CapExceeded, Poset, bits
 
@@ -181,6 +183,11 @@ class PropertyContext:
 
     def __len__(self) -> int:
         return len(self.ideals)
+
+    @cached_property
+    def ideal_names(self) -> tuple[str, ...]:
+        """Display name of each ideal, by context index, built once."""
+        return tuple(map(str, self.ideals))
 
     def locate(self, ideal: Ideal) -> int:
         got = self.index.get(ideal.members)

@@ -29,6 +29,15 @@ class LabeledFamily:
 
     def __init__(self, universe_size: int, labels: Poset,
                  assign: Sequence[int]):
+        self._fill(universe_size, labels, assign)
+        for y in range(labels.m):
+            for x in range(labels.m):
+                if labels.leq(y, x) != (self.assign[y] & ~self.assign[x] == 0):
+                    raise EmbeddingViolation(
+                        f"labels {y}, {x}: order and inclusion disagree")
+
+    def _fill(self, universe_size: int, labels: Poset,
+              assign: Sequence[int]) -> None:
         if len(assign) != labels.m:
             raise ValueError("one subset per label is required")
         full = (1 << universe_size) - 1
@@ -38,19 +47,19 @@ class LabeledFamily:
         self.universe_size = universe_size
         self.labels = labels
         self.assign = tuple(assign)
-        for y in range(labels.m):
-            for x in range(labels.m):
-                if labels.leq(y, x) != (self.assign[y] & ~self.assign[x] == 0):
-                    raise EmbeddingViolation(
-                        f"labels {y}, {x}: order and inclusion disagree")
 
     @classmethod
     def from_subsets(cls, universe_size: int,
                      subsets: Sequence[int]) -> "LabeledFamily":
-        """Derive the label order from inclusion; subsets must be distinct."""
+        """Derive the label order from inclusion; subsets must be distinct.
+
+        The order is inclusion by construction, so it is not re-checked.
+        """
         if len(set(subsets)) != len(subsets):
             raise EmbeddingViolation("duplicate subsets break antisymmetry")
-        return cls(universe_size, Poset.by_inclusion(subsets), subsets)
+        fam = object.__new__(cls)
+        fam._fill(universe_size, Poset.by_inclusion(subsets), subsets)
+        return fam
 
     @property
     def universe(self) -> int:
@@ -71,11 +80,11 @@ class LabeledFamily:
         if label < 0 or label >> self.labels.m:
             raise IndexError("label subset has bits outside the label poset")
         points = self.universe
-        for x in range(self.labels.m):
+        for x, a in enumerate(self.assign):
             if (label >> x) & 1:
-                points &= self.assign[x]
+                points &= a
             else:
-                points &= self.universe & ~self.assign[x]
+                points &= ~a
         return points
 
     def to_json(self) -> str:

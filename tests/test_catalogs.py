@@ -186,7 +186,8 @@ class TestDispatch:
 
 class TestRendering:
     def test_json(self, lat4):
-        doc = json.loads(catalog_json(coatom_antichain_catalog(4, lat4)))
+        chunks = catalog_json(coatom_antichain_catalog(4, lat4))
+        doc = json.loads("".join(chunks))
         assert doc["kind"] == "coatoms"
         assert doc["class_count"] == 14
         assert doc["empty_label_count"] == 113

@@ -141,12 +141,12 @@ def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
     for f in catalog.empties:
         assert class_record(describe_class(f, ())) == class_record(
             describe_class(f))
-    reference = class_report_jsonl(
-        catalog.classes + [describe_class(f) for f in catalog.empties])
+    reference = "".join(class_report_jsonl(
+        catalog.classes + [describe_class(f) for f in catalog.empties]))
     code = main(["classify", "--n", str(n), "--context", kind,
                  "--output", "jsonl"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert out == reference + "\n"
+    assert out == reference
     records = [json.loads(line) for line in out.splitlines()]
     assert sum(r["exists"] for r in records) == len(catalog.classes)

@@ -34,6 +34,19 @@ class TestLabeledFamily:
         fam = LabeledFamily.from_subsets(3, [0b001, 0b011, 0b111])
         assert fam.labels.is_chain(fam.labels.full)
 
+    def test_rejects_order_missing_an_inclusion(self):
+        # the antichain order of {0b01, 0b10} on subsets that form a chain
+        antichain = LabeledFamily.from_subsets(2, [0b01, 0b10]).labels
+        with pytest.raises(EmbeddingViolation):
+            LabeledFamily(2, antichain, [0b01, 0b11])
+
+    def test_from_subsets_order_passes_the_direct_check(self):
+        # from_subsets skips the order check; the order it builds passes it
+        rng = random.Random(5)
+        for _ in range(200):
+            fam = random_family(rng)
+            LabeledFamily(fam.universe_size, fam.labels, fam.assign)
+
     def test_from_subsets_rejects_duplicates(self):
         with pytest.raises(EmbeddingViolation):
             LabeledFamily.from_subsets(3, [0b011, 0b011])
