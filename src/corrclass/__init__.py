@@ -2,9 +2,7 @@
 properties: partitions, partition ideals, class labels, and the worked
 classifications, all cross-checked against a brute-force type oracle."""
 
-from .catalogs import (Catalog, atom_antichain_catalog, catalog_cover_check,
-                       catalog_for, chain_catalog, coatom_antichain_catalog,
-                       custom_catalog, finest_catalog)
+from .catalogs import Catalog, catalog_cover_check, catalog_for, custom_catalog
 from .classify import (ClassDescriptor, Filter, class_exists, class_mask,
                        class_order, classes_equal, describe_class,
                        enumerate_filters, lemma_principal_check, make_filter,

@@ -12,14 +12,14 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from .classify import (ClassDescriptor, Filter, cross_check, describe_class,
                        enumerable, enumerate_filters, signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
-                     enumerate_ideals, full_context, k_partitionability_context,
+                     enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
-from .partitions import PartitionLattice, enumerate_partitions, state_shape
+from .partitions import PartitionLattice, state_shape
 from .poset import bits
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json
@@ -46,115 +46,61 @@ def _shape_summary(d: ClassDescriptor) -> str:
     return ", ".join(state_shape(s) for s in shapes) if shapes else "-"
 
 
-def _signature_catalog(kind: str, context: PropertyContext,
-                       order: Callable[[int, int], Any],
-                       exhaustive: bool = True) -> Catalog:
+# Each built-in context kind: its context builder and the kind its catalog
+# reports, which fixes the class order and whether empty labels are listed.
+KINDS: dict[str, tuple[Callable[[PartitionLattice], PropertyContext], str]] = {
+    "full": (enumerate_ideals, "finest"),
+    "k_part": (k_partitionability_context, "chain"),
+    "k_prod": (k_producibility_context, "chain"),
+    "atoms": (atom_context, "atoms"),
+    "coatoms": (coatom_context, "coatoms"),
+}
+
+
+def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     """Classify a context signature-first: each signature group is a class.
 
-    ``order(label, types)`` gives the sort key of the class with member
-    mask ``label`` and type mask ``types``; the class's types are those of
-    its group.  When ``exhaustive``, every other filter is listed as empty
-    (``enumerate_filters`` refuses a context too large for that before any
-    label is described).  :func:`classify.cross_check` holds each label's
-    verdict, class mask and witness to its group.
+    The reported ``kind`` orders the classes: ``finest`` by lowest type
+    (one class per partition), ``chain`` by descending label size, any
+    other in the order in which ``upsets`` emits labels.  Every other
+    filter is listed as empty (``enumerate_filters`` refuses a context too
+    large for that before any label is described), except that ``finest``
+    lists none when its context is too large.  :func:`classify.cross_check`
+    holds each label's verdict, class mask and witness to its group.
     """
     groups = signature_groups(context)
+    if kind == "finest":
+        order = lambda g: g[1] & -g[1]
+    elif kind == "chain":
+        order = lambda g: -g[0].bit_count()
+    else:
+        elements = context.poset.upset_order()
+        order = lambda g: [g[0] >> e & 1 for e in elements]
+    exhaustive = kind != "finest" or enumerable(context)
     empties = ([f for f in enumerate_filters(context)
                 if f.members not in groups] if exhaustive else [])
     to_partitions = context.lattice.mask_to_partitions
     classes = [describe_class(Filter(context, label), to_partitions(types))
-               for label, types in sorted(groups.items(),
-                                          key=lambda g: order(*g))]
+               for label, types in sorted(groups.items(), key=order)]
     discrepancies = cross_check(groups, chain(
         classes, (describe_class(f, ()) for f in empties)))
     return Catalog(kind, context, classes, empties, exhaustive,
                    discrepancies=discrepancies)
 
 
-def _lowest_type(label: int, types: int) -> int:
-    return types & -types
-
-
-def _descending_size(label: int, types: int) -> int:
-    return -label.bit_count()
-
-
-def _upsets_order(context: PropertyContext):
-    """Sort key reproducing the order in which ``upsets`` emits labels."""
-    elements = context.poset.upset_order()
-    return lambda label, types: [label >> e & 1 for e in elements]
-
-
-def finest_catalog(n: int,
-                   universe: PropertyContext | None = None) -> Catalog:
-    """Classify against all properties at once: one class per partition.
-
-    Requires the full ideal universe, hence small n.  When the context is
-    small enough, every other filter is listed as empty; otherwise only
-    the classes are reported.
-    """
-    if universe is None:
-        universe = enumerate_ideals(enumerate_partitions(n))
-    context = full_context(universe)
-    return _signature_catalog("finest", context, _lowest_type,
-                              exhaustive=enumerable(context))
-
-
-def chain_catalog(context: PropertyContext) -> Catalog:
-    """Classify against a chain of properties: one class per chain element.
-
-    Every filter of a chain is principal and realized, so the scope is
-    exhaustive and no label is empty.
-    """
-    if not context.is_chain():
-        raise ValueError("context is not a chain")
-    return _signature_catalog("chain", context, _descending_size)
-
-
-def atom_antichain_catalog(n: int,
-                           lattice: PartitionLattice | None = None) -> Catalog:
-    """Classify against the principal ideals of the (n-1)-part partitions."""
-    lattice = lattice if lattice is not None else enumerate_partitions(n)
-    context = atom_context(lattice)
-    return _signature_catalog("atoms", context, _upsets_order(context))
-
-
-def coatom_antichain_catalog(n: int,
-                             lattice: PartitionLattice | None = None) -> Catalog:
-    """Classify against the principal ideals of the bipartitions.
-
-    The partition lattice is coatomistic, so the classes have a closed
-    form: one per partition below the top, realized by it alone.  The
-    classes come from the signature groups; the walk over every label
-    lists the empty ones.
-    """
-    lattice = lattice if lattice is not None else enumerate_partitions(n)
-    context = coatom_context(lattice)
-    return _signature_catalog("coatoms", context, _upsets_order(context))
-
-
-def catalog_for(kind: str, n: int,
-                lattice: PartitionLattice | None = None) -> Catalog:
-    """Dispatch by context kind: full, k_part, k_prod, atoms, coatoms."""
-    lattice = lattice if lattice is not None else enumerate_partitions(n)
-    if kind == "full":
-        return finest_catalog(n, enumerate_ideals(lattice))
-    if kind == "k_part":
-        return chain_catalog(k_partitionability_context(lattice))
-    if kind == "k_prod":
-        return chain_catalog(k_producibility_context(lattice))
-    if kind == "atoms":
-        return atom_antichain_catalog(n, lattice)
-    if kind == "coatoms":
-        return coatom_antichain_catalog(n, lattice)
-    raise ValueError(f"unknown context kind {kind!r}")
+def catalog_for(kind: str, lattice: PartitionLattice) -> Catalog:
+    """Classify the built-in context ``kind`` (a key of ``KINDS``)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown context kind {kind!r}")
+    build, reported = KINDS[kind]
+    return _signature_catalog(reported, build(lattice))
 
 
 def custom_catalog(context: PropertyContext) -> Catalog:
-    """Classify a caller-supplied context exhaustively."""
-    if context.is_chain():
-        return chain_catalog(context)
-    return _signature_catalog("custom", context, _upsets_order(context))
+    """Classify a caller-supplied context exhaustively.  Every filter of a
+    chain is principal and realized, so a chain has no empty labels."""
+    return _signature_catalog("chain" if context.is_chain() else "custom",
+                              context)
 
 
 def catalog_cover_check(catalog: Catalog) -> dict:

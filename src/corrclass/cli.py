@@ -1,13 +1,15 @@
 """Command-line front end: enumeration, classification, verification, export.
 
 Exit codes: 0 success, 2 enumeration cap breached, 3 invariant failure or
-bad input (usage errors included).
+bad input (usage errors included), 141 stdout closed by its reader (128 +
+SIGPIPE, as a shell reports a process killed by that signal).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from itertools import chain
@@ -24,6 +26,7 @@ from .poset import CapExceeded, Poset
 EXIT_OK = 0
 EXIT_CAP = 2
 EXIT_INVARIANT = 3
+EXIT_PIPE = 141
 
 
 def _read_context(path: str | None,
@@ -53,7 +56,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         poset = ip.poset
         labels = [str(i) for i in ip.ideals]
     else:  # "III"
-        context = idl.full_context(idl.enumerate_ideals(lattice))
+        context = idl.enumerate_ideals(lattice)
         filters = list(cf.enumerate_filters(context))
         poset = Poset.by_inclusion([f.members for f in filters])
         labels = [str(f) for f in filters]
@@ -89,7 +92,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.context == "custom":
         catalog = cat.custom_catalog(_read_context(args.context_file, lattice))
     else:
-        catalog = cat.catalog_for(args.context, args.n, lattice)
+        catalog = cat.catalog_for(args.context, lattice)
     if args.output == "json":
         sys.stdout.writelines(cat.catalog_json(catalog))
         sys.stdout.write("\n")
@@ -141,18 +144,17 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
         return lines, ok
 
     lattice = enumerate_partitions(args.n)
-    contexts = [("k_part", idl.k_partitionability_context(lattice)),
-                ("k_prod", idl.k_producibility_context(lattice))]
-    if args.n >= 2:
-        contexts.append(("atoms", idl.atom_context(lattice)))
-        contexts.append(("coatoms", idl.coatom_context(lattice)))
-    if args.context != "all":
-        contexts = [(k, c) for k, c in contexts if k == args.context]
+    # every built-in kind but "full" (added by --exhaustive below); only
+    # the chains exist at n = 1
+    contexts = [(kind, build(lattice))
+                for kind, (build, reported) in cat.KINDS.items()
+                if kind != "full" and args.context in ("all", kind)
+                and (args.n >= 2 or reported == "chain")]
     universe = (idl.enumerate_ideals(lattice)
                 if args.exhaustive or args.n <= idl.FULL_ENUMERATION_MAX_N
                 else None)
     if args.exhaustive:
-        contexts.append(("full", idl.full_context(universe)))
+        contexts.append(("full", universe))
     for kind, context in contexts:
         if not cf.enumerable(context):
             raise CapExceeded(
@@ -213,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="generate a classification")
     p_cls.add_argument("--n", type=int, required=True)
     p_cls.add_argument("--context", default="full",
-                       choices=["full", "k_part", "k_prod", "atoms",
-                                "coatoms", "custom"])
+                       choices=[*cat.KINDS, "custom"])
     p_cls.add_argument("--context-file")
     p_cls.add_argument("--output", choices=["text", "json", "jsonl"],
                        default="text")
@@ -225,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--n", type=int, default=3)
     p_ver.add_argument("--context", default="all",
-                       choices=["all", "k_part", "k_prod", "atoms",
-                                "coatoms"])
+                       choices=["all",
+                                *(k for k in cat.KINDS if k != "full")])
     p_ver.add_argument("--exhaustive", action="store_true")
     p_ver.add_argument("--venn", action="store_true",
                        help="check the abstract subset-family lemmas instead")
@@ -237,9 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "classify" and args.context_file is not None
+            and args.context != "custom"):
+        parser.error("argument --context-file: only valid with "
+                     "--context custom")
+    if args.command == "verify" and args.families < 1:
+        parser.error(f"argument --families: must be at least 1, "
+                     f"got {args.families}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: say nothing, and send the interpreter's
+        # final flush of what is still buffered to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

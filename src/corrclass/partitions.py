@@ -219,8 +219,7 @@ class PartitionLattice:
     ζ refines ξ iff the pairs of ζ are among those of ξ, so the order is
     inclusion of pair masks (:meth:`Poset.by_inclusion`).  The blockwise
     meet joins exactly the pairs both partitions join, so ``meet_index`` is
-    a lookup on ``pairs[i] & pairs[j]``; ``join_index`` merges overlapping
-    blocks and looks up the pairs of the result.
+    a lookup on ``pairs[i] & pairs[j]``.
     """
 
     def __init__(self, n: int):
@@ -246,18 +245,6 @@ class PartitionLattice:
 
     def meet_index(self, i: int, j: int) -> int:
         return self._by_pairs[self.pairs[i] & self.pairs[j]]
-
-    def join_index(self, i: int, j: int) -> int:
-        merged = list(self.partitions[i].blocks)
-        for block in self.partitions[j].blocks:
-            rest = []
-            for b in merged:
-                if b & block:
-                    block |= b
-                else:
-                    rest.append(b)
-            merged = rest + [block]
-        return self._by_pairs[_pair_mask(merged)]
 
     def mask_to_partitions(self, mask: int) -> tuple[Partition, ...]:
         return tuple(self.partitions[i] for i in bits(mask))

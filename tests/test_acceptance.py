@@ -13,16 +13,13 @@ from math import comb
 
 import pytest
 
-from corrclass.catalogs import (atom_antichain_catalog, catalog_for,
-                                chain_catalog, coatom_antichain_catalog,
-                                finest_catalog)
+from corrclass.catalogs import catalog_for
 from corrclass.classify import (classes_equal, class_exists, describe_class,
                                 enumerate_filters, make_filter,
                                 lemma_principal_check, oracle_cross_check,
                                 type_set)
 from corrclass.ideals import (PropertyContext, enumerate_ideals, full_context,
-                              k_partitionability_context,
-                              k_producibility_context, principal_ideal)
+                              principal_ideal)
 from corrclass.partitions import Partition, enumerate_partitions
 from corrclass.venn import (check_lemma_upset, counterexample_family,
                             generic_family, random_family,
@@ -49,7 +46,7 @@ def test_criterion_01_partition_counts():
 
 def test_criterion_02_finest_n3():
     t0 = time.monotonic()
-    cat = finest_catalog(3)
+    cat = catalog_for("full", enumerate_partitions(3))
     lattice = cat.lattice
     ok = len(cat.classes) == 5
     # labels are exactly the principal filters of principal ideals
@@ -69,7 +66,7 @@ def test_criterion_02_finest_n3():
 
 def test_criterion_03_finest_n4():
     t0 = time.monotonic()
-    cat = finest_catalog(4)
+    cat = catalog_for("full", enumerate_partitions(4))
     by_shape = {}
     for d in cat.classes:
         assert len(d.types) == 1
@@ -86,12 +83,12 @@ def test_criterion_04_chain_catalogs():
     ok = True
     for n in (3, 4, 5):
         lattice = enumerate_partitions(n)
-        part = chain_catalog(k_partitionability_context(lattice))
-        prod = chain_catalog(k_producibility_context(lattice))
+        part = catalog_for("k_part", lattice)
+        prod = catalog_for("k_prod", lattice)
         ok = ok and len(part.classes) == n and len(prod.classes) == n
     lattice = enumerate_partitions(4)
-    part = chain_catalog(k_partitionability_context(lattice))
-    prod = chain_catalog(k_producibility_context(lattice))
+    part = catalog_for("k_part", lattice)
+    prod = catalog_for("k_prod", lattice)
     # bottom-up: the 2-partitionable class is second from the top
     two_part = [d for d in part.classes
                 if {p.parts_count for p in d.types} == {2}]
@@ -117,7 +114,7 @@ def test_criterion_05_atom_antichain_literal():
     t0 = time.monotonic()
     ok = True
     for n in range(3, 7):
-        cat = atom_antichain_catalog(n)
+        cat = catalog_for("atoms", enumerate_partitions(n))
         ok = ok and len(cat.classes) == comb(n, 2)
         ok = ok and all(len(d.label) < 2 for d in cat.classes)
     ok = ok and elapsed_ok(t0, 30)
@@ -128,7 +125,7 @@ def test_criterion_05_atom_antichain_computed():
     t0 = time.monotonic()
     ok = True
     for n in range(3, 7):
-        cat = atom_antichain_catalog(n)
+        cat = catalog_for("atoms", enumerate_partitions(n))
         singles = [d for d in cat.classes if len(d.label) == 1]
         full = [d for d in cat.classes if len(d.label) == comb(n, 2)]
         ok = ok and len(cat.classes) == comb(n, 2) + 1
@@ -171,7 +168,7 @@ def test_criterion_07_sampled_oracle_n4(ip4):
     filters_checked = 0
     nonempty_for_lemmas = []
     for kind in ("k_part", "k_prod", "atoms", "coatoms"):
-        cat = catalog_for(kind, 4, ip4.lattice)
+        cat = catalog_for(kind, ip4.lattice)
         context = cat.context
         filters = list(enumerate_filters(context))
         rep = oracle_cross_check(context, filters)
@@ -257,7 +254,7 @@ def test_criterion_09_principal_label_identities(ip3, ip4):
     # all four catalog contexts at n=3 and n=4
     for n, ip in ((3, ip3), (4, ip4)):
         for kind in ("k_part", "k_prod", "atoms", "coatoms"):
-            cat = catalog_for(kind, n, ip.lattice)
+            cat = catalog_for(kind, ip.lattice)
             for f in enumerate_filters(cat.context):
                 check(f, ip)
     # nonempty filters sampled during criterion 7
@@ -295,7 +292,7 @@ def test_criterion_10_intersection_families():
 
 def test_criterion_11_coatom_regression():
     t0 = time.monotonic()
-    cat = coatom_antichain_catalog(4)
+    cat = catalog_for("coatoms", enumerate_partitions(4))
     rep = oracle_cross_check(cat.context,
                              (d.label for d in cat.classes))
     total = len(cat.classes) + len(cat.empties)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from corrclass.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, main
+from corrclass.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_MAIN = "import sys; from corrclass.cli import main; sys.exit(main())"
 from corrclass.hasse import dot_poset
 from corrclass.poset import Poset
 
@@ -135,6 +142,32 @@ class TestClassify:
         assert code == EXIT_INVARIANT
         assert "--context-file" in err
 
+    def test_file_without_custom_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "3", "--context", "k_part",
+                  "--context-file", str(tmp_path / "absent.txt")])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVARIANT
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --context-file: only valid with "
+            "--context custom\n")
+
+    def test_closed_stdout_is_quiet(self):
+        # the reader keeps 100 bytes of a 4.5 MB document and closes the pipe
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-c", CLI_MAIN, "classify", "--n", "6",
+                 "--context", "atoms", "--output", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_PIPE == 141
+        assert err == b""
+
 
 class TestVerify:
     def test_default_all_pass(self, capsys):
@@ -186,6 +219,17 @@ class TestVerify:
         assert "PASS venn.random_families (30 families, seed 5)" in out
         assert "PASS venn.generic_three_label" in out
         assert "PASS venn.counterexample" in out
+
+    @pytest.mark.parametrize("families", ["0", "-5"])
+    def test_families_below_one_is_a_usage_error(self, capsys, families):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--venn", "--families", families])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVARIANT
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --families: must be at least 1, "
+            f"got {families}\n")
 
 
 class TestDot:

@@ -98,7 +98,7 @@ def test_meet_join_match_partitions(n):
     for i, a in enumerate(ps):
         for j, b in enumerate(ps):
             assert lattice.meet_index(i, j) == index[a.meet(b)]
-            assert lattice.join_index(i, j) == index[a.join(b)]
+            assert lattice.poset.join(i, j) == index[a.join(b)]
 
 
 def test_wrong_meet_fails_verify(monkeypatch, capsys):
@@ -136,7 +136,7 @@ def test_n7_outputs_pinned(capsys, args):
 @pytest.mark.parametrize("kind,n", [("atoms", 4), ("coatoms", 4),
                                     ("full", 3)])
 def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
-    catalog = catalogs.catalog_for(kind, n)
+    catalog = catalogs.catalog_for(kind, enumerate_partitions(n))
     assert catalog.empties
     for f in catalog.empties:
         assert class_record(describe_class(f, ())) == class_record(

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from corrclass import catalogs, classify, ideals
-from corrclass.catalogs import (Catalog, atom_antichain_catalog, catalog_json,
-                                coatom_antichain_catalog, custom_catalog)
+from corrclass.catalogs import (Catalog, catalog_for, catalog_json,
+                                custom_catalog)
 from corrclass.classify import (ExistenceVerdict, Filter, class_exists,
                                 class_mask, complement_join_members,
                                 describe_class, enumerate_filters,
@@ -150,7 +150,7 @@ def _flip_pairs(f):
 
 def test_empty_label_disagreement_recorded(monkeypatch, lat4):
     monkeypatch.setattr(classify, "class_exists", _flip_pairs)
-    cat = atom_antichain_catalog(4, lat4)
+    cat = catalog_for("atoms", lat4)
     # the signature lookup still decides: 7 classes, and every two-atom
     # label (all empty) is reported as a disagreement
     assert len(cat.classes) == 7
@@ -204,7 +204,7 @@ def _one_class_mask(f):
 
 def test_shared_class_mask_recorded(monkeypatch, lat4):
     monkeypatch.setattr(classify, "class_exists", _one_class_mask)
-    cat = atom_antichain_catalog(4, lat4)
+    cat = catalog_for("atoms", lat4)
     groups = signature_groups(cat.context)
     expected = [{"kind": "mask", "labels": [str(d.label)]}
                 for d in cat.classes if groups[d.label.members] != 1]
@@ -229,7 +229,7 @@ def test_widened_class_mask_recorded(monkeypatch, capsys, lat4):
     main(argv)
     clean = capsys.readouterr().out
     monkeypatch.setattr(classify, "class_exists", _widened_mask)
-    discrepancies = coatom_antichain_catalog(4, lat4).discrepancies
+    discrepancies = catalog_for("coatoms", lat4).discrepancies
     assert discrepancies
     assert {d["kind"] for d in discrepancies} == {"mask"}
     assert main(["verify", "--n", "4"]) == EXIT_INVARIANT
@@ -401,7 +401,7 @@ def test_corrupted_walk_mask_recorded(monkeypatch, capsys, lat4):
     main(argv)
     clean = capsys.readouterr().out
     _corrupt_first_empty(monkeypatch)
-    cat = atom_antichain_catalog(4, lat4)
+    cat = catalog_for("atoms", lat4)
     assert cat.discrepancies == [{"kind": "existence",
                                   "labels": [first_empty]}]
     code = main(argv)

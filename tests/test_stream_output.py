@@ -80,7 +80,7 @@ def test_chunks_join_to_json_dumps(context, batch):
 
 
 def test_chain_catalog_has_no_empty_labels():
-    catalog = catalog_for("k_part", 5)
+    catalog = catalog_for("k_part", enumerate_partitions(5))
     assert not catalog.empties
     text = "".join(catalog_json(catalog))
     assert text == reference_json(catalog)
@@ -88,13 +88,13 @@ def test_chain_catalog_has_no_empty_labels():
 
 
 def test_non_exhaustive_full_n4(ip4):
-    catalog = catalog_for("full", 4, ip4.lattice)
+    catalog = catalog_for("full", ip4.lattice)
     assert not catalog.exhaustive
     assert "".join(catalog_json(catalog)) == reference_json(catalog)
 
 
 def test_labels_come_in_bounded_batches():
-    catalog = catalog_for("atoms", 5)
+    catalog = catalog_for("atoms", enumerate_partitions(5))
     chunks = list(catalog_json(catalog))
     head, *batches, tail = chunks
     assert len(catalog.empties) == 1012
@@ -105,7 +105,7 @@ def test_labels_come_in_bounded_batches():
 
 
 def test_atoms_n6_streams_in_bounded_memory():
-    catalog = catalog_for("atoms", 6)
+    catalog = catalog_for("atoms", enumerate_partitions(6))
     digest = hashlib.sha256()
     length = 0
     tracemalloc.start()
