@@ -166,12 +166,7 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
            f"{len(lattice)} partitions")
     record("chains_part_prod", idl.chain_check_part_prod(lattice)["ok"])
 
-    m = len(lattice)
-    principals = [idl.principal_ideal(lattice, i).members for i in range(m)]
-    meet = lattice.meet_index
-    record("principal_ideal_meets", all(
-        principals[i] & principals[j] == principals[meet(i, j)]
-        for i in range(m) for j in range(i, m)))
+    record("principal_ideal_meets", idl.principal_meet_check(lattice)["ok"])
 
     for kind, context in contexts:
         filters = list(cf.enumerate_filters(context))
@@ -244,6 +239,10 @@ def main(argv: list[str] | None = None) -> int:
             and args.context != "custom"):
         parser.error("argument --context-file: only valid with "
                      "--context custom")
+    if (args.command == "classify" and args.letters
+            and args.output != "text"):
+        parser.error(f"argument --letters: only valid with --output text, "
+                     f"got --output {args.output}")
     if args.command == "verify" and args.families < 1:
         parser.error(f"argument --families: must be at least 1, "
                      f"got {args.families}")

@@ -150,6 +150,53 @@ def chain_check_part_prod(lattice: PartitionLattice) -> dict:
     }
 
 
+def principal_meet_check(lattice: PartitionLattice) -> dict:
+    """Verify that principal ideals are closed under intersection, from
+    three exact checks:
+
+    (0) the top's principal ideal is every partition;
+    (a) coatomistic: every other principal ideal is the intersection of
+        the principal ideals of the coatoms above it;
+    (b) coatom meets: ↓i ∩ ↓c = ↓meet(i, c) for every partition i and
+        coatom c.
+
+    Proof that these suffice.  For j the top, ↓i ∩ ↓j = ↓i by (0).  Take j
+    not the top, with coatoms c1..ck above it.  By (a), ↓i ∩ ↓j =
+    ↓i ∩ ↓c1 ∩ .. ∩ ↓ck.  By (b) each step stays principal: ↓i ∩ ↓c1 = ↓i1,
+    then ↓i1 ∩ ↓c2 = ↓i2, and so on, so ↓i ∩ ↓j is principal.  Hence every
+    intersection of principal ideals is principal.  There are 2^(n−1) − 1
+    coatoms (the two-block partitions), so (b) makes B_n·(2^(n−1) − 1)
+    ``meet_index`` calls instead of one per pair of partitions, and checks
+    ``meet_index`` itself only on the pairs that hold a coatom.
+    """
+    poset = lattice.poset
+    below = [principal_ideal(lattice, i).members for i in range(len(lattice))]
+    top = lattice.top_index
+    coatom_mask = poset.coatoms()
+    coatoms = list(bits(coatom_mask))
+    not_coatomistic = []
+    for j, mask in enumerate(below):
+        if j == top:
+            continue
+        meet = lattice.full_mask
+        for c in bits(poset.above[j] & coatom_mask):
+            meet &= below[c]
+        if meet != mask:
+            not_coatomistic.append(j)
+    meet_index = lattice.meet_index
+    wrong_meets = [(i, c) for i, mask in enumerate(below) for c in coatoms
+                   if mask & below[c] != below[meet_index(i, c)]]
+    top_ok = below[top] == lattice.full_mask
+    return {
+        "n": lattice.n,
+        "ok": top_ok and not not_coatomistic and not wrong_meets,
+        "top_ok": top_ok,
+        "not_coatomistic": not_coatomistic,
+        "wrong_meets": wrong_meets,
+        "coatoms": len(coatoms),
+    }
+
+
 def enumerate_ideals(lattice: PartitionLattice) -> PropertyContext:
     """Every nonempty ideal, ordered by inclusion; refuses n beyond
     ``FULL_ENUMERATION_MAX_N``."""

@@ -153,6 +153,26 @@ class TestClassify:
             "error: argument --context-file: only valid with "
             "--context custom\n")
 
+    @pytest.mark.parametrize("output", ["json", "jsonl"])
+    def test_letters_with_machine_output_is_a_usage_error(self, capsys,
+                                                          output):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "3", "--context", "k_part",
+                  "--output", output, "--letters"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVARIANT
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --letters: only valid with --output text, "
+            f"got --output {output}\n")
+
+    def test_letters_with_text_output(self, capsys):
+        code, out, _ = run(capsys, "classify", "--n", "3",
+                           "--context", "k_part", "--output", "text",
+                           "--letters")
+        assert code == EXIT_OK
+        assert out.startswith("chain classification, n=3: 3 classes\n")
+
     def test_closed_stdout_is_quiet(self):
         # the reader keeps 100 bytes of a 4.5 MB document and closes the pipe
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -91,14 +91,83 @@ def test_inclusion_orders_are_not_validated(monkeypatch):
         Poset.from_pairs(2, [(0, 1), (1, 0)])
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_meet_join_match_partitions(n):
+    # the meet on every pair, since verify checks it only on coatom pairs;
+    # the join to n = 5
     lattice = enumerate_partitions(n)
     ps, index = lattice.partitions, lattice.index
     for i, a in enumerate(ps):
         for j, b in enumerate(ps):
             assert lattice.meet_index(i, j) == index[a.meet(b)]
-            assert lattice.poset.join(i, j) == index[a.join(b)]
+            if n <= 5:
+                assert lattice.poset.join(i, j) == index[a.join(b)]
+
+
+def quadratic_meets_ok(lattice):
+    """Reference: ↓i ∩ ↓j == ↓meet(i, j) on every pair of partitions."""
+    below = lattice.poset.below
+    m = len(lattice)
+    return all(below[i] & below[j] == below[lattice.meet_index(i, j)]
+               for i in range(m) for j in range(i, m))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_principal_meet_check_matches_quadratic(n):
+    lattice = enumerate_partitions(n)
+    rep = idl.principal_meet_check(lattice)
+    assert rep["ok"] is quadratic_meets_ok(lattice) is True
+    assert rep["coatoms"] == (2 ** (n - 1) - 1 if n > 1 else 0)
+
+
+def coatom_pair_mutations(lattice):
+    """Wrong meets, each wrong on some pair that holds a coatom."""
+    right = lattice.meet_index
+    bottom, top = lattice.bottom_index, lattice.top_index
+    coatom = lattice.poset.coatoms().bit_length() - 1
+    other = next(i for i in range(len(lattice))
+                 if not lattice.poset.leq(i, coatom))
+
+    def one_pair(i, j):
+        if {i, j} == {other, coatom}:
+            return bottom
+        return right(i, j)
+
+    return {
+        "lower_index": lambda i, j: min(i, j),
+        "first_argument": lambda i, j: i,
+        "always_bottom": lambda i, j: bottom,
+        "always_top": lambda i, j: top,
+        "one_pair": one_pair,
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_principal_meet_check_matches_quadratic_on_wrong_meets(n):
+    lattice = enumerate_partitions(n)
+    for name, wrong in coatom_pair_mutations(lattice).items():
+        lattice.meet_index = wrong
+        assert idl.principal_meet_check(lattice)["ok"] is False, name
+        assert quadratic_meets_ok(lattice) is False, name
+        del lattice.meet_index
+
+
+def test_verify_meet_calls_linear(monkeypatch, capsys):
+    calls = 0
+    meet_index = PartitionLattice.meet_index
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return meet_index(self, i, j)
+
+    monkeypatch.setattr(PartitionLattice, "meet_index", counted)
+    code = main(["verify", "--n", "7", "--context", "k_prod"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "PASS principal_ideal_meets" in out.splitlines()
+    # B_7 partitions times 2^6 - 1 coatoms; every pair would be 385 003
+    assert 0 < calls <= 877 * 63
 
 
 def test_wrong_meet_fails_verify(monkeypatch, capsys):

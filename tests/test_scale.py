@@ -3,7 +3,9 @@
 Bell(8) = 4140 partitions.  The budgets are loose on purpose; they fail
 when Level I falls back to a quadratic build (about 25 s at n = 8), or
 when ``verify --n 5`` (every label checked by ``type_set`` and the lemma,
-about 1.2 s) grows several times slower.
+about 1.2 s) grows several times slower.  ``verify --n 8 --context
+k_prod`` takes about 0.65 s; the linear call count of its principal-meet
+check is pinned in ``test_pair_masks.py``.
 """
 
 import json
@@ -59,6 +61,16 @@ def test_chain_catalog_n8(capsys, kind):
     assert doc["empty_label_count"] == 0 and doc["empty_labels"] == []
     types = [t for c in doc["classes"] for t in c["type_set"]]
     assert len(types) == len(set(types)) == BELL_8
+    assert elapsed < BUDGET_S
+
+
+def test_verify_k_prod_n8(capsys):
+    code, out, elapsed = run_timed(capsys, "verify", "--n", str(N),
+                                   "--context", "k_prod")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
+    assert "PASS principal_ideal_meets" in lines
     assert elapsed < BUDGET_S
 
 
