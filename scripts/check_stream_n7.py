@@ -30,7 +30,7 @@ EXPECTED_SHA256 = {
     "json": "697b667232ee90a1f6960f96702d445de5deb9db99c0ae52f5f7d53691c48316",
     "jsonl": "0243feb51766f08f3a2112e7473ffd52ca11ed0bad02a90d339818e30c442b13",
 }
-MAX_RSS_MB = 400
+MAX_RSS_MB = 64
 MAX_WALL_S = 90
 BLOCK = 1 << 20
 

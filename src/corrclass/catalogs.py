@@ -1,16 +1,16 @@
 """One-call generators for the worked classifications.
 
 Each catalog fixes a property context, decides which labels are realized,
-and returns the nonempty classes together with the labels proved empty
-(within the enumerated scope).  A class's types are its signature group;
-no catalog runs the label-by-label ``type_set`` oracle.
+and returns the nonempty classes together with a view of the labels proved
+empty (within the enumerated scope).  A class's types are its signature
+group; no catalog runs the label-by-label ``type_set`` oracle.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count, islice
 from json.encoder import encode_basestring
 from typing import Callable, Iterator
 
@@ -25,13 +25,50 @@ from .poset import bits
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json
 
 
+class EmptyLabels:
+    """The labels of a context that no partition realizes, as a sized view
+    that holds no label.
+
+    Each iteration walks the context's labels again
+    (:func:`classify.enumerate_filters`) and yields, in walk order, those
+    outside the signature groups.  The length is the count the catalog took
+    while it cross-checked these labels; a view of length 0 walks nothing.
+    """
+
+    __slots__ = ("_context", "_groups", "_count")
+
+    def __init__(self, context: PropertyContext, groups: dict[int, int],
+                 length: int):
+        self._context = context
+        self._groups = groups
+        self._count = length
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Filter]:
+        if not self._count:
+            return iter(())
+        return _unrealized(self._context, self._groups)
+
+
+def _unrealized(context: PropertyContext,
+                groups: dict[int, int]) -> Iterator[Filter]:
+    return (f for f in enumerate_filters(context) if f.members not in groups)
+
+
 @dataclass
 class Catalog:
-    """The outcome of classifying one property context."""
+    """The outcome of classifying one property context.
+
+    ``empties`` is an :class:`EmptyLabels` view: its length is the number
+    of empty labels, and each iteration walks them again, so no catalog
+    holds them.
+    """
     kind: str
     context: PropertyContext
     classes: list[ClassDescriptor]
-    empties: list[Filter]
+    empties: EmptyLabels
     exhaustive: bool  # whether every filter of the context was examined
     # labels on which the algebraic tests and the signature oracle disagree
     discrepancies: list[dict] = field(default_factory=list)
@@ -63,10 +100,12 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     The reported ``kind`` orders the classes: ``finest`` by lowest type
     (one class per partition), ``chain`` by descending label size, any
     other in the order in which ``upsets`` emits labels.  Every other
-    filter is listed as empty (``enumerate_filters`` refuses a context too
-    large for that before any label is described), except that ``finest``
-    lists none when its context is too large.  :func:`classify.cross_check`
-    holds each label's verdict, class mask and witness to its group.
+    filter is empty: the catalog streams them once, through
+    :func:`classify.cross_check`, and counts them as they pass
+    (``enumerate_filters`` refuses a context too large for that before any
+    label is described), except that ``finest`` walks none when its
+    context is too large.  ``cross_check`` holds each label's verdict,
+    class mask and witness to its group.
     """
     groups = signature_groups(context)
     if kind == "finest":
@@ -77,14 +116,15 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
         elements = context.poset.upset_order()
         order = lambda g: [g[0] >> e & 1 for e in elements]
     exhaustive = kind != "finest" or enumerable(context)
-    empties = ([f for f in enumerate_filters(context)
-                if f.members not in groups] if exhaustive else [])
     to_partitions = context.lattice.mask_to_partitions
     classes = [describe_class(Filter(context, label), to_partitions(types))
                for label, types in sorted(groups.items(), key=order)]
+    taken = count()  # zip draws from it once per empty label it takes
+    walk = zip(_unrealized(context, groups), taken) if exhaustive else ()
     discrepancies = cross_check(groups, chain(
-        classes, (describe_class(f, ()) for f in empties)))
-    return Catalog(kind, context, classes, empties, exhaustive,
+        classes, (describe_class(f, ()) for f, _ in walk)))
+    return Catalog(kind, context, classes,
+                   EmptyLabels(context, groups, next(taken)), exhaustive,
                    discrepancies=discrepancies)
 
 
@@ -147,16 +187,17 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         "classes": records,
         "empty_labels": [],
     }, ensure_ascii=False, indent=2)
-    empties = catalog.empties
-    if not empties:
+    if not catalog.empties:
         yield head
         return
     yield head[:-len("[]\n}")]  # reopen the trailing "empty_labels": []
+    labels = iter(catalog.empties)
     sep = ",\n    "
-    for start in range(0, len(empties), LABEL_BATCH):
-        batch = empties[start:start + LABEL_BATCH]
-        yield (sep if start else "[\n    ") + sep.join(
-            [encode_basestring(str(f)) for f in batch])
+    opening = "[\n    "
+    while batch := [encode_basestring(str(f))
+                    for f in islice(labels, LABEL_BATCH)]:
+        yield opening + sep.join(batch)
+        opening = sep
     yield "\n  ]\n}"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ideals import Ideal, PropertyContext
@@ -69,8 +70,7 @@ class Filter:
 
     def minimal_names(self) -> list[str]:
         """Display names of the minimal ideals, from the context's names."""
-        names = self.context.ideal_names
-        return [names[i] for i in bits(self._minimal_mask())]
+        return self.context.names_of(self._minimal_mask())
 
     def __len__(self) -> int:
         return self.members.bit_count()
@@ -367,13 +367,14 @@ def cross_check(groups: dict[int, int],
 
 def oracle_cross_check(context: PropertyContext,
                        filters: Iterable[Filter]) -> dict:
-    """:func:`cross_check` of the filters, each with its ``type_set``."""
-    filters = list(filters)
-    discrepancies = cross_check(signature_groups(context),
-                                (describe_class(f) for f in filters))
+    """:func:`cross_check` of the filters, each with its ``type_set``,
+    consumed once as they stream past."""
+    taken = count()  # zip draws from it once per filter it takes
+    discrepancies = cross_check(signature_groups(context), (
+        describe_class(f) for f, _ in zip(filters, taken)))
     return {
         "context_size": len(context),
-        "filters_checked": len(filters),
+        "filters_checked": next(taken),
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }

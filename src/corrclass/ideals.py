@@ -8,8 +8,6 @@ The canonical display names an ideal by its maximal elements, e.g.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .partitions import Partition, PartitionLattice
 from .poset import CapExceeded, Poset, bits
 
@@ -30,6 +28,17 @@ class Ideal:
         self.members = members
         self._hash = hash((id(lattice), members))
         self._str: str | None = None  # display name, filled on first use
+
+    @classmethod
+    def _down_closed(cls, lattice: PartitionLattice, members: int) -> "Ideal":
+        """An ideal whose nonempty member set is down-closed by
+        construction, such as a row of ``lattice.poset.below``."""
+        ideal = object.__new__(cls)
+        ideal.lattice = lattice
+        ideal.members = members
+        ideal._hash = hash((id(lattice), members))
+        ideal._str = None
+        return ideal
 
     def maximal_partitions(self) -> tuple[Partition, ...]:
         return self.lattice.mask_to_partitions(
@@ -80,7 +89,7 @@ class Ideal:
 def principal_ideal(lattice: PartitionLattice, xi: Partition | int) -> Ideal:
     """The down-closure of a single partition."""
     idx = lattice.index[xi] if isinstance(xi, Partition) else xi
-    return Ideal(lattice, lattice.poset.below[idx])
+    return Ideal._down_closed(lattice, lattice.poset.below[idx])
 
 
 def ideal_from_generators(lattice: PartitionLattice,
@@ -110,10 +119,10 @@ def k_partitionable_ideal(lattice: PartitionLattice, k: int) -> Ideal:
     """Partitions with at least k parts (refining never loses parts)."""
     if not 1 <= k <= lattice.n:
         raise ValueError(f"k must be in 1..{lattice.n}, got {k}")
+    by_count = lattice.block_stat_masks[0]
     mask = 0
-    for i, p in enumerate(lattice.partitions):
-        if p.parts_count >= k:
-            mask |= 1 << i
+    for blocks in range(k, lattice.n + 1):
+        mask |= by_count[blocks]
     return Ideal(lattice, mask)
 
 
@@ -121,10 +130,10 @@ def k_producible_ideal(lattice: PartitionLattice, kp: int) -> Ideal:
     """Partitions whose every part has at most kp members."""
     if not 1 <= kp <= lattice.n:
         raise ValueError(f"k' must be in 1..{lattice.n}, got {kp}")
+    by_largest = lattice.block_stat_masks[1]
     mask = 0
-    for i, p in enumerate(lattice.partitions):
-        if p.max_part_size <= kp:
-            mask |= 1 << i
+    for size in range(1, kp + 1):
+        mask |= by_largest[size]
     return Ideal(lattice, mask)
 
 
@@ -227,14 +236,40 @@ class PropertyContext:
             raise ValueError("duplicate ideals in context")
         self.poset = Poset.by_inclusion(
             [ideal.members for ideal in self.ideals])
+        # byte-to-names table of each run of 8 ideals, built on first use
+        self._name_tables: list[tuple[tuple[str, ...], ...] | None] = (
+            [None] * -(-len(self.ideals) // 8))
 
     def __len__(self) -> int:
         return len(self.ideals)
 
-    @cached_property
-    def ideal_names(self) -> tuple[str, ...]:
-        """Display name of each ideal, by context index, built once."""
-        return tuple(map(str, self.ideals))
+    def names_of(self, mask: int) -> list[str]:
+        """Display names of the ideals in ``mask``, by ascending index.
+
+        Reads the mask 8 bits at a time from one table per 8 ideals, which
+        maps each byte to the names of its ideals.  A table is built the
+        first time a mask touches its ideals, so a large context pays only
+        for the tables its labels use.
+        """
+        tables = self._name_tables
+        out: list[str] = []
+        chunk = 0
+        while mask:
+            byte = mask & 255
+            if byte:
+                out += (tables[chunk] or self._name_table(chunk))[byte]
+            mask >>= 8
+            chunk += 1
+        return out
+
+    def _name_table(self, chunk: int) -> tuple[tuple[str, ...], ...]:
+        names = list(map(str, self.ideals[8 * chunk:8 * chunk + 8]))
+        table: list[tuple[str, ...]] = [()]
+        for byte in range(1, 1 << len(names)):
+            high = byte.bit_length() - 1
+            table.append(table[byte ^ (1 << high)] + (names[high],))
+        self._name_tables[chunk] = built = tuple(table)
+        return built
 
     def locate(self, ideal: Ideal) -> int:
         got = self.index.get(ideal.members)

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import re
 import string
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .poset import Poset, bits
 
 # What holds n at 8: with the cap lifted, n = 9 (21 147 partitions) takes
-# 0.63 s to build Level I and 3.4 s for the principal ideals, each Ideal
-# re-checking its down-closure; verify's principal-meet check then takes
-# 9.1 s in all (5.4M coatom meets; shared 2-vCPU x86-64 VM, Python 3.11),
-# and the coatom context of 255 ideals needs its empty labels counted, not
-# listed, before it can be classified.
+# 0.63-0.73 s to build Level I and 0.07 s for the principal ideals;
+# verify's principal-meet check then takes 6.5 s in all (5.4M coatom
+# meets; shared 2-vCPU x86-64 VM, Python 3.11), and the coatom context of
+# 255 ideals needs its empty labels counted without walking them before it
+# can be classified.
 MAX_N = 8
 
 _BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -245,6 +246,18 @@ class PartitionLattice:
     @property
     def full_mask(self) -> int:
         return self.poset.full
+
+    @cached_property
+    def block_stat_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(by_count, by_largest)``, from one pass over the partitions:
+        ``by_count[k]`` masks the partitions with k blocks and
+        ``by_largest[s]`` those whose largest block has s members."""
+        by_count = [0] * (self.n + 1)
+        by_largest = [0] * (self.n + 1)
+        for i, p in enumerate(self.partitions):
+            by_count[p.parts_count] |= 1 << i
+            by_largest[p.max_part_size] |= 1 << i
+        return tuple(by_count), tuple(by_largest)
 
     def meet_index(self, i: int, j: int) -> int:
         return self._by_pairs[self.pairs[i] & self.pairs[j]]

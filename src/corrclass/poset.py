@@ -305,23 +305,26 @@ class Poset:
             weights = [0] * self.m
         strict = {e: rel[e] & ~(1 << e) for e in order}
         # Depth-first over the linear extension; at each element the
-        # exclude-branch precedes the include-branch.  The element taken in
-        # is extremal in the set: what it forces in was taken before it.
+        # exclude-branch precedes the include-branch.  A popped branch
+        # follows exclude-branches down to its set and stacks each
+        # include-branch it passes, so only include-branches are stacked.
+        # The element taken in is extremal in the set: what it forces in
+        # was taken before it.
         last = len(order)
         stack = [(0, 0, 0, top, 0)]
         while stack:
             t, acc, ext, meet, join = stack.pop()
-            if t == last:
-                if acc or include_empty:
-                    yield acc, ext, meet, join
-                continue
-            e = order[t]
-            s = strict[e]
-            if s & acc == s:
-                bit = 1 << e
-                stack.append((t + 1, acc | bit, ext & ~s | bit,
-                              meet & weights[e], join))
-            stack.append((t + 1, acc, ext, meet, join | weights[e]))
+            while t < last:
+                e = order[t]
+                s = strict[e]
+                t += 1
+                if s & acc == s:
+                    bit = 1 << e
+                    stack.append((t, acc | bit, ext & ~s | bit,
+                                  meet & weights[e], join))
+                join |= weights[e]
+            if acc or include_empty:
+                yield acc, ext, meet, join
 
     def is_chain(self, q: int) -> bool:
         """True iff every pair of elements of q is comparable."""

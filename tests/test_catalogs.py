@@ -3,9 +3,10 @@ import json
 import pytest
 
 from corrclass import classify
-from corrclass.catalogs import (Catalog, catalog_cover_check, catalog_for,
-                                catalog_json, catalog_text, custom_catalog)
-from corrclass.classify import signature_groups, type_set
+from corrclass.catalogs import (KINDS, Catalog, catalog_cover_check,
+                                catalog_for, catalog_json, catalog_text,
+                                custom_catalog)
+from corrclass.classify import enumerate_filters, signature_groups, type_set
 from corrclass.ideals import PropertyContext, coatom_context, principal_ideal
 from corrclass.partitions import Partition, bell_number, enumerate_partitions
 from corrclass.poset import CapExceeded
@@ -34,7 +35,7 @@ class TestFinest:
         cat = catalog_for("full", lat4)
         assert not cat.exhaustive
         assert len(cat.classes) == 15
-        assert cat.empties == []
+        assert list(cat.empties) == []
 
     def test_covers_everything(self, lat3):
         report = catalog_cover_check(catalog_for("full", lat3))
@@ -46,7 +47,7 @@ class TestChains:
     def test_partitionability_n4(self, lat4):
         cat = catalog_for("k_part", lat4)
         assert len(cat.classes) == 4
-        assert cat.empties == []
+        assert list(cat.empties) == []
         # bottom-up: class k collects partitions with exactly k parts
         for k, d in zip(range(4, 0, -1), cat.classes):
             assert {p.parts_count for p in d.types} == {k}
@@ -172,6 +173,25 @@ class TestDispatch:
         assert cat.kind == "custom"
         assert cat.exhaustive
         assert len(cat.classes) + len(cat.empties) == 7
+
+
+# every built-in kind at n <= 5 where it exists: no atoms or coatoms at
+# n = 1, and the ideal universe only to n = 4
+@pytest.mark.parametrize("kind,n", [
+    (kind, n) for kind in sorted(KINDS) for n in range(1, 6)
+    if not (n == 1 and kind in ("atoms", "coatoms"))
+    and not (n == 5 and kind == "full")])
+def test_empty_labels_view_rewalks(kind, n):
+    cat = catalog_for(kind, enumerate_partitions(n))
+    first = [f.members for f in cat.empties]
+    assert [f.members for f in cat.empties] == first
+    assert len(cat.empties) == len(first)
+    if cat.exhaustive:
+        groups = signature_groups(cat.context)
+        assert first == [f.members for f in enumerate_filters(cat.context)
+                         if f.members not in groups]
+    else:
+        assert first == []
 
 
 class TestRendering:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from corrclass import classify as cf
 from corrclass.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -212,6 +214,35 @@ class TestVerify:
         assert code == EXIT_CAP
         assert out == ""
         assert err.startswith("cap exceeded: full ideal enumeration")
+
+    def test_labels_streamed_not_held(self, capsys, monkeypatch):
+        # count the live labels when the lemma reaches the 30 000th of the
+        # 32 767 coatom labels at n = 5; a list of them would hold them all
+        def live_labels():
+            return sum(isinstance(o, cf.Filter) for o in gc.get_objects())
+
+        lemma = cf.lemma_principal_check
+        calls = 0
+        live = None
+
+        def counting_lemma(f, universe=None):
+            nonlocal calls, live
+            calls += 1
+            if calls == 30_000:
+                live = live_labels()
+            return lemma(f, universe)
+
+        gc.collect()
+        before = live_labels()  # what earlier tests still hold
+
+        monkeypatch.setattr(cf, "lemma_principal_check", counting_lemma)
+        code, out, _ = run(capsys, "verify", "--n", "5",
+                           "--context", "coatoms")
+        assert code == EXIT_OK
+        assert "PASS oracle.coatoms (32767 filters)" in out.splitlines()
+        assert "PASS lemmas.coatoms" in out.splitlines()
+        assert calls == 32767
+        assert live - before < 100
 
     def test_context_cap_before_work(self, capsys):
         # coatoms at n=6 has 31 ideals: refused before any check runs

@@ -45,6 +45,15 @@ class TestIdeal:
             assert set(ideal.partitions()) == expected
             assert ideal.maximal_partitions() == (p,)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_principal_equals_validated_ideal(self, n):
+        lattice = enumerate_partitions(n)
+        for i, below in enumerate(lattice.poset.below):
+            ideal = principal_ideal(lattice, i)
+            checked = Ideal(lattice, below)
+            assert ideal == checked and hash(ideal) == hash(checked)
+            assert str(ideal) == str(checked)
+
     def test_display_by_maximal_elements(self, lat3):
         a = principal_ideal(lat3, Partition.parse("12|3"))
         b = principal_ideal(lat3, Partition.parse("13|2"))
@@ -99,6 +108,15 @@ class TestFamilies:
         ideal = k_producible_ideal(lat4, 2)
         assert all(p.max_part_size <= 2 for p in ideal.partitions())
         assert len(ideal) == 10  # 1 + 6 pairings + 3 double pairings
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chains_match_block_statistics(self, n):
+        lattice = enumerate_partitions(n)
+        for k in range(1, n + 1):
+            assert set(k_partitionable_ideal(lattice, k).partitions()) == {
+                p for p in lattice.partitions if p.parts_count >= k}
+            assert set(k_producible_ideal(lattice, k).partitions()) == {
+                p for p in lattice.partitions if p.max_part_size <= k}
 
     def test_k_out_of_range(self, lat4):
         with pytest.raises(ValueError):

@@ -129,7 +129,9 @@ def test_signature_catalog_matches_reference(context):
     assert cat.kind == "custom"
     assert cat.discrepancies == []
     assert cat.classes == ref.classes
-    assert cat.empties == ref.empties
+    assert list(cat.empties) == ref.empties
+    assert list(cat.empties) == ref.empties  # a second walk, same labels
+    assert len(cat.empties) == len(ref.empties)
     assert "".join(catalog_json(cat)) == "".join(catalog_json(ref))
     groups = signature_groups(context)
     for f in enumerate_filters(context):

@@ -105,11 +105,15 @@ def test_labels_come_in_bounded_batches():
 
 
 def test_atoms_n6_streams_in_bounded_memory():
-    catalog = catalog_for("atoms", enumerate_partitions(6))
+    """From construction through the render, the catalog holds no empty
+    label: a list of its 32 751 empty ``Filter``s alone takes about
+    4.4 MB, and the peak stays under a quarter of the 4 MB document."""
+    lattice = enumerate_partitions(6)
     digest = hashlib.sha256()
     length = 0
     tracemalloc.start()
     try:
+        catalog = catalog_for("atoms", lattice)
         for chunk in catalog_json(catalog):
             length += len(chunk)
             digest.update(chunk.encode("utf-8"))
