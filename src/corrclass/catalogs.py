@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from typing import Callable, Iterator
 
-from .classify import (ClassDescriptor, Filter, cross_check, describe_class,
-                       enumerable, enumerate_filters, signature_groups)
+from .classify import (ClassDescriptor, Filter, class_report_jsonl,
+                       cross_check, describe_class, enumerable,
+                       enumerate_filters, signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
@@ -101,7 +102,7 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     (one class per partition), ``chain`` by descending label size, any
     other in the order in which ``upsets`` emits labels.  Every other
     filter is empty: the catalog streams them once, through
-    :func:`classify.cross_check`, and counts them as they pass
+    :func:`classify.cross_check`, which counts them as they pass
     (``enumerate_filters`` refuses a context too large for that before any
     label is described), except that ``finest`` walks none when its
     context is too large.  ``cross_check`` holds each label's verdict,
@@ -119,13 +120,12 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     to_partitions = context.lattice.mask_to_partitions
     classes = [describe_class(Filter(context, label), to_partitions(types))
                for label, types in sorted(groups.items(), key=order)]
-    taken = count()  # zip draws from it once per empty label it takes
-    walk = zip(_unrealized(context, groups), taken) if exhaustive else ()
-    discrepancies = cross_check(groups, chain(
-        classes, (describe_class(f, ()) for f, _ in walk)))
+    walk = _unrealized(context, groups) if exhaustive else ()
+    checked, discrepancies = cross_check(groups, chain(
+        classes, (describe_class(f, ()) for f in walk)))
     return Catalog(kind, context, classes,
-                   EmptyLabels(context, groups, next(taken)), exhaustive,
-                   discrepancies=discrepancies)
+                   EmptyLabels(context, groups, checked - len(classes)),
+                   exhaustive, discrepancies=discrepancies)
 
 
 def catalog_for(kind: str, lattice: PartitionLattice) -> Catalog:
@@ -199,6 +199,14 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         yield opening + sep.join(batch)
         opening = sep
     yield "\n  ]\n}"
+
+
+def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
+    """The catalog as JSON lines: each class, then each empty label.  An
+    empty label's record (mask 0, no witness, no types) is its signature
+    group's, which the catalog's cross-check held its verdict to."""
+    empties = (ClassDescriptor(f, 0, False, None) for f in catalog.empties)
+    return class_report_jsonl(chain(catalog.classes, empties))
 
 
 def catalog_text(catalog: Catalog) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .ideals import Ideal, PropertyContext
@@ -139,27 +138,40 @@ def class_mask(f: Filter) -> int:
     return meet_members(f) & ~complement_join_members(f)
 
 
-# Not frozen: a verdict and a descriptor are built for every label, and a
-# frozen dataclass's __init__ costs about 1 µs more per object.
+# Not frozen: a record is built for every label, and describe_class sets
+# its types; a frozen dataclass's __init__ costs about 1 µs more per object.
 @dataclass
-class ExistenceVerdict:
+class ClassDescriptor:
+    """A label's verdict: its existence data and realizing types."""
+    label: Filter
+    mask: int  # class mask: the partitions the algebra puts in the class
     exists: bool
     witness: Partition | None
-    mask: int  # the class mask the verdict was read from
+    types: tuple[Partition, ...] = ()
+
+    def type_mask(self) -> int:
+        lattice = self.label.context.lattice
+        out = 0
+        for p in self.types:
+            out |= 1 << lattice.index[p]
+        return out
+
+    def witness_mask(self) -> int:
+        lattice = self.label.context.lattice
+        return 0 if self.witness is None else 1 << lattice.index[self.witness]
 
 
-def class_exists(f: Filter) -> ExistenceVerdict:
-    """Nonemptiness test: the class mask must not be empty.
-
-    The witness is the refinement-minimal partition of the class mask,
-    tie-broken by enumeration order.
+def class_exists(f: Filter) -> ClassDescriptor:
+    """Nonemptiness test, as the label's record with no types: the class
+    mask must not be empty.  The witness is the refinement-minimal
+    partition of the class mask, tie-broken by enumeration order.
     """
     mask = class_mask(f)
     if not mask:
-        return ExistenceVerdict(False, None, 0)
+        return ClassDescriptor(f, 0, False, None)
     minimal = f.context.lattice.poset.minimal(mask)
     first = (minimal & -minimal).bit_length() - 1
-    return ExistenceVerdict(True, f.context.lattice.partitions[first], mask)
+    return ClassDescriptor(f, mask, True, f.context.lattice.partitions[first])
 
 
 def type_set(f: Filter) -> tuple[Partition, ...]:
@@ -241,38 +253,18 @@ def class_order(f: Filter, g: Filter) -> str:
     return "incomparable"
 
 
-@dataclass
-class ClassDescriptor:
-    """A label together with its existence data and realizing types."""
-    label: Filter
-    mask: int  # class mask: the partitions the algebra puts in the class
-    exists: bool
-    witness: Partition | None
-    types: tuple[Partition, ...]
-
-    def type_mask(self) -> int:
-        lattice = self.label.context.lattice
-        out = 0
-        for p in self.types:
-            out |= 1 << lattice.index[p]
-        return out
-
-    def witness_mask(self) -> int:
-        lattice = self.label.context.lattice
-        return 0 if self.witness is None else 1 << lattice.index[self.witness]
-
-
 def describe_class(f: Filter,
                    types: tuple[Partition, ...] | None = None) -> ClassDescriptor:
-    """The label's verdict and its types, by default from ``type_set``.
+    """The label's :func:`class_exists` record with ``types`` set on it,
+    ``type_set(f)`` by default.
 
     A catalog passes the types of the label's signature group (``()`` for a
     label that no partition has as its signature), so ``type_set`` runs only
     where it is the second oracle, as in ``verify``.
     """
-    verdict = class_exists(f)
-    return ClassDescriptor(f, verdict.mask, verdict.exists, verdict.witness,
-                           type_set(f) if types is None else types)
+    d = class_exists(f)
+    d.types = type_set(f) if types is None else types
+    return d
 
 
 def enumerable(context: PropertyContext) -> bool:
@@ -335,19 +327,21 @@ def lemma_principal_check(f: Filter,
 
 
 def cross_check(groups: dict[int, int],
-                descriptors: Iterable[ClassDescriptor]) -> list[dict]:
+                records: Iterable[ClassDescriptor]) -> tuple[int, list[dict]]:
     """Differential test of the algebraic verdicts against the type oracle.
 
     ``groups`` are the ``signature_groups`` of the labels' context.  Streams
-    the descriptors once and holds each label to its group (0 if it has
-    none), in this order: the existence verdict, the class mask, the type
-    mask, and the witness, a minimal element of a nonempty group and absent
-    from an empty one.  Groups of distinct labels are disjoint, so equal
-    masks then mean equal classes.  Returns one ``{"kind": <first failing
-    check>, "labels": [label]}`` per failing label.
+    the records once and holds each label to its group (0 if it has none),
+    in this order: the existence verdict, the class mask, the type mask,
+    and the witness, a minimal element of a nonempty group and absent from
+    an empty one.  Groups of distinct labels are disjoint, so equal masks
+    then mean equal classes.  Returns the number of records checked and
+    one ``{"kind": <first failing check>, "labels": [label]}`` per failing
+    label.
     """
+    checked = 0
     discrepancies = []
-    for d in descriptors:
+    for checked, d in enumerate(records, 1):
         group = groups.get(d.label.members, 0)
         witness = d.witness_mask()
         if d.exists != bool(group):
@@ -362,19 +356,18 @@ def cross_check(groups: dict[int, int],
         else:
             continue
         discrepancies.append({"kind": kind, "labels": [str(d.label)]})
-    return discrepancies
+    return checked, discrepancies
 
 
 def oracle_cross_check(context: PropertyContext,
                        filters: Iterable[Filter]) -> dict:
     """:func:`cross_check` of the filters, each with its ``type_set``,
     consumed once as they stream past."""
-    taken = count()  # zip draws from it once per filter it takes
-    discrepancies = cross_check(signature_groups(context), (
-        describe_class(f) for f, _ in zip(filters, taken)))
+    checked, discrepancies = cross_check(
+        signature_groups(context), map(describe_class, filters))
     return {
         "context_size": len(context),
-        "filters_checked": next(taken),
+        "filters_checked": checked,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }

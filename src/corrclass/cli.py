@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from itertools import chain
 
 from . import catalogs as cat
 from . import classify as cf
@@ -31,19 +30,24 @@ EXIT_PIPE = 141
 
 def _read_context(path: str | None,
                   lattice: PartitionLattice) -> idl.PropertyContext:
-    """A custom context file: one ideal per nonblank line."""
+    """A custom context file: one distinct ideal per nonblank line."""
     if not path:
         raise ValueError("--context custom requires --context-file")
-    ideals = []
+    first_line: dict[idl.Ideal, int] = {}  # each ideal and its line, in order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                ideals.append(idl.parse_ideal(lattice, line))
+                ideal = idl.parse_ideal(lattice, line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return idl.PropertyContext(lattice, ideals)
+            seen = first_line.setdefault(ideal, lineno)
+            if seen != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate of line {seen}")
+    if not first_line:
+        raise ValueError(f"{path}: no ideals")
+    return idl.PropertyContext(lattice, list(first_line))
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -97,9 +101,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         sys.stdout.writelines(cat.catalog_json(catalog))
         sys.stdout.write("\n")
     elif args.output == "jsonl":
-        empties = (cf.describe_class(f, ()) for f in catalog.empties)
-        sys.stdout.writelines(
-            cf.class_report_jsonl(chain(catalog.classes, empties)))
+        sys.stdout.writelines(cat.catalog_jsonl(catalog))
     elif args.letters:
         print(_catalog_letters(catalog))
     else:

@@ -5,18 +5,14 @@ from __future__ import annotations
 from .poset import Poset
 
 
-def dot_poset(poset: Poset, labels: list[str],
-              highlight: set[int] | None = None,
-              name: str = "poset") -> str:
+def dot_poset(poset: Poset, labels: list[str], name: str = "poset") -> str:
     """Graphviz source for the cover relation, edges pointing upward."""
     if len(labels) != poset.m:
         raise ValueError("one label per element is required")
-    highlight = highlight or set()
     lines = [f'digraph "{name}" {{', "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
     for i, text in enumerate(labels):
-        style = ', style=filled, fillcolor="lightblue"' if i in highlight else ""
-        lines.append(f'  n{i} [label="{_escape(text)}"{style}];')
+        lines.append(f'  n{i} [label="{_escape(text)}"];')
     for i, j in poset.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

@@ -23,13 +23,9 @@ from .poset import Poset, bits
 # can be classified.
 MAX_N = 8
 
-_BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-
 
 def bell_number(n: int) -> int:
     """Bell numbers via the triangle recurrence (independent of enumeration)."""
-    if n < len(_BELL):
-        return _BELL[n]
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]

@@ -17,6 +17,9 @@ from typing import Sequence
 
 from .poset import Poset, bits
 
+RANDOM_MAX_UNIVERSE = 8  # points in a random_family universe, at most
+RANDOM_MAX_LABELS = 4  # labels of a random_family, at most
+
 
 class EmbeddingViolation(ValueError):
     """Label order and subset inclusion disagree."""
@@ -148,11 +151,10 @@ def counterexample_family() -> LabeledFamily:
     return LabeledFamily.from_subsets(4, [0b0011, 0b0101, 0b1010])
 
 
-def random_family(rng: random.Random, max_universe: int = 8,
-                  max_labels: int = 4) -> LabeledFamily:
+def random_family(rng: random.Random) -> LabeledFamily:
     """A seeded random family; the label order is induced by inclusion."""
-    universe_size = rng.randint(1, max_universe)
-    label_count = rng.randint(1, min(max_labels, 1 << universe_size))
+    universe_size = rng.randint(1, RANDOM_MAX_UNIVERSE)
+    label_count = rng.randint(1, min(RANDOM_MAX_LABELS, 1 << universe_size))
     full = (1 << universe_size) - 1
     subsets: list[int] = []
     while len(subsets) < label_count:

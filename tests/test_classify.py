@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,10 +7,10 @@ from corrclass import classify
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 class_order, class_record, class_report_jsonl,
                                 classes_equal, complement_join_members,
-                                describe_class, enumerate_filters,
+                                cross_check, describe_class, enumerate_filters,
                                 full_filter, lemma_principal_check,
                                 make_filter, meet_members, oracle_cross_check,
-                                type_set)
+                                signature_groups, type_set)
 from corrclass.cli import main
 from corrclass.ideals import (atom_context, full_context,
                               k_partitionability_context, principal_ideal)
@@ -203,6 +204,14 @@ class TestCrossCheck:
         assert main(["verify", "--n", "3", "--context", "atoms"]) == 3
         assert "FAIL oracle.atoms" in capsys.readouterr().out
 
+    def test_counts_the_records_it_consumes(self, ctx3):
+        records = [describe_class(f) for f in enumerate_filters(ctx3)]
+        assert cross_check(signature_groups(ctx3), iter(records)) == (20, [])
+        flipped = replace(records[0], exists=not records[0].exists)
+        assert cross_check(signature_groups(ctx3), [flipped]) == (
+            1, [{"kind": "existence", "labels": [str(flipped.label)]}])
+        assert cross_check(signature_groups(ctx3), []) == (0, [])
+
     def test_random_sub_contexts(self, ip4):
         from corrclass.ideals import PropertyContext
         rng = random.Random(11)
@@ -223,6 +232,37 @@ class TestDescriptors:
         assert d.mask == class_exists(f).mask
         assert d.types == type_set(f)
         assert d.type_mask() == 1 << ctx3.lattice.index[Partition.parse("123")]
+
+    def test_one_record_per_label(self, ctx3):
+        for f in enumerate_filters(ctx3):
+            verdict = class_exists(f)
+            assert isinstance(verdict, ClassDescriptor)
+            assert verdict.label is f
+            assert verdict.types == ()
+            assert describe_class(f) == replace(verdict, types=type_set(f))
+
+    def test_describe_class_sets_types_on_the_verdict(self, monkeypatch,
+                                                      ctx3):
+        f = full_filter(ctx3)
+        verdict = class_exists(f)
+        monkeypatch.setattr(classify, "class_exists", lambda g: verdict)
+        assert describe_class(f, ()) is verdict
+        assert describe_class(f) is verdict
+        assert verdict.types == type_set(f)
+
+    def test_jsonl_describes_each_label_once(self, monkeypatch, capsys):
+        # atoms at n = 4: 63 labels, 7 of them classes
+        calls = []
+
+        def counted(f):
+            calls.append(f.members)
+            return class_exists(f)
+
+        monkeypatch.setattr(classify, "class_exists", counted)
+        assert main(["classify", "--n", "4", "--context", "atoms",
+                     "--output", "jsonl"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 63
+        assert len(calls) == len(set(calls)) == 63
 
     def test_jsonl_records(self, ctx3):
         import json

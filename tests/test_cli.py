@@ -131,6 +131,27 @@ class TestClassify:
         assert out == ""
         assert err.startswith(f"error: {path}:3: ")
 
+    def test_custom_context_duplicate_ideal(self, capsys, tmp_path):
+        # line 3 names line 1's ideal by another generator list
+        path = tmp_path / "ctx.txt"
+        path.write_text("12|3\n13|2\n12|3, 1|2|3\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--n", "3",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == f"error: {path}:3: duplicate of line 1\n"
+
+    def test_custom_context_without_ideals(self, capsys, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_text("\n  \n\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--n", "3",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == f"error: {path}: no ideals\n"
+
     def test_coatoms_n6_cap(self, capsys):
         code, out, err = run(capsys, "classify", "--n", "6",
                              "--context", "coatoms")
@@ -288,11 +309,6 @@ class TestDot:
         p = Poset.from_pairs(2, [(0, 1)])
         out = dot_poset(p, ['a"b', "c"])
         assert '\\"' in out
-
-    def test_highlight(self):
-        p = Poset.from_pairs(2, [(0, 1)])
-        out = dot_poset(p, ["x", "y"], highlight={1})
-        assert "lightblue" in out
 
     def test_label_arity(self):
         p = Poset.from_pairs(2, [(0, 1)])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from corrclass import catalogs, classify, ideals
 from corrclass.catalogs import (Catalog, catalog_for, catalog_json,
                                 custom_catalog)
-from corrclass.classify import (ExistenceVerdict, Filter, class_exists,
+from corrclass.classify import (Filter, class_exists,
                                 class_mask, complement_join_members,
                                 describe_class, enumerate_filters,
                                 meet_members, oracle_cross_check,
@@ -145,8 +145,7 @@ def _flip_pairs(f):
     """class_exists, with the verdict of every two-ideal label inverted."""
     verdict = class_exists(f)
     if len(f) == 2:
-        return ExistenceVerdict(not verdict.exists, verdict.witness,
-                                verdict.mask)
+        return replace(verdict, exists=not verdict.exists)
     return verdict
 
 
@@ -178,8 +177,7 @@ def _flip_singletons(f):
     """class_exists, with the verdict of every one-ideal label inverted."""
     verdict = class_exists(f)
     if len(f) == 1:
-        return ExistenceVerdict(not verdict.exists, verdict.witness,
-                                verdict.mask)
+        return replace(verdict, exists=not verdict.exists)
     return verdict
 
 
