@@ -2,11 +2,11 @@
 properties: partitions, partition ideals, class labels, and the worked
 classifications, all cross-checked against a brute-force type oracle."""
 
-from .catalogs import Catalog, catalog_cover_check, catalog_for, custom_catalog
+from .catalogs import Catalog, catalog_for, custom_catalog
 from .classify import (ClassDescriptor, Filter, class_exists, class_mask,
-                       class_order, classes_equal, describe_class,
-                       enumerate_filters, lemma_principal_check, make_filter,
-                       oracle_cross_check, signature_groups, type_set)
+                       describe_class, enumerate_filters,
+                       lemma_principal_check, make_filter, oracle_cross_check,
+                       signature_groups, type_set)
 from .ideals import (Ideal, PropertyContext, atom_context,
                      chain_check_part_prod, coatom_context, enumerate_ideals,
                      full_context, k_partitionability_context,

@@ -21,7 +21,6 @@ from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
 from .partitions import PartitionLattice, state_shape
-from .poset import bits
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json
 
@@ -141,23 +140,6 @@ def custom_catalog(context: PropertyContext) -> Catalog:
     chain is principal and realized, so a chain has no empty labels."""
     return _signature_catalog("chain" if context.is_chain() else "custom",
                               context)
-
-
-def catalog_cover_check(catalog: Catalog) -> dict:
-    """Compare the union of all realized type sets with all partitions."""
-    lattice = catalog.lattice
-    covered = 0
-    for d in catalog.classes:
-        covered |= d.type_mask()
-    uncovered = lattice.full_mask & ~covered
-    return {
-        "covers_all": uncovered == 0,
-        "covered_count": covered.bit_count(),
-        "partition_count": len(lattice),
-        "uncovered": [str(lattice.partitions[i]) for i in bits(uncovered)],
-        "covered_equals_context_union":
-            covered == catalog.context.covered_mask(),
-    }
 
 
 def catalog_json(catalog: Catalog) -> Iterator[str]:

@@ -103,10 +103,6 @@ def make_filter(context: PropertyContext,
     return Filter(context, context.poset.up_closure(mask))
 
 
-def full_filter(context: PropertyContext) -> Filter:
-    return Filter(context, context.poset.full)
-
-
 def meet_members(f: Filter) -> int:
     """Partition mask of the intersection of the filter's ideals."""
     members = f.members
@@ -223,34 +219,6 @@ def signature_groups(context: PropertyContext) -> dict[int, int]:
         if sig:
             groups[sig] = groups.get(sig, 0) | 1 << j
     return groups
-
-
-def _check_same_context(f: Filter, g: Filter) -> None:
-    if f.context is not g.context:
-        raise ValueError("filters belong to different contexts")
-
-
-def classes_equal(f: Filter, g: Filter) -> bool:
-    """Label-equivalence: both labels carve out the same class.
-
-    Evaluated on partition sets, where the filter meet and the complement
-    join live in the free set algebra over all partitions (the context
-    itself need not contain them).
-    """
-    _check_same_context(f, g)
-    return class_mask(f) == class_mask(g)
-
-
-def class_order(f: Filter, g: Filter) -> str:
-    """Inclusion comparison of the labels: less/equal/greater/incomparable."""
-    _check_same_context(f, g)
-    if f.members == g.members:
-        return "equal"
-    if f.members & ~g.members == 0:
-        return "less"
-    if g.members & ~f.members == 0:
-        return "greater"
-    return "incomparable"
 
 
 def describe_class(f: Filter,

@@ -195,6 +195,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+# Each verify flag's mode (whether it belongs to --venn) and its default,
+# which main sets once it has checked the mode of the flags given.
+VERIFY_FLAGS = {"n": (False, 3), "context": (False, "all"),
+                "exhaustive": (False, False), "seed": (True, 0),
+                "families": (True, 100)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse's own status 2 is EXIT_CAP
         self.print_usage(sys.stderr)
@@ -229,15 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--n", type=int, default=3)
-    p_ver.add_argument("--context", default="all",
+    p_ver.add_argument("--n", type=int)
+    p_ver.add_argument("--context",
                        choices=["all",
                                 *(k for k in cat.KINDS if k != "full")])
-    p_ver.add_argument("--exhaustive", action="store_true")
+    p_ver.add_argument("--exhaustive", action="store_true", default=None)
     p_ver.add_argument("--venn", action="store_true",
                        help="check the abstract subset-family lemmas instead")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--families", type=int, default=100)
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--families", type=int)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -253,9 +260,16 @@ def main(argv: list[str] | None = None) -> int:
             and args.output != "text"):
         parser.error(f"argument --letters: only valid with --output text, "
                      f"got --output {args.output}")
-    if args.command == "verify" and args.families < 1:
-        parser.error(f"argument --families: must be at least 1, "
-                     f"got {args.families}")
+    if args.command == "verify":
+        for name, (venn_mode, default) in VERIFY_FLAGS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif venn_mode != args.venn:
+                parser.error(f"argument --{name}: only valid with"
+                             f"{'' if venn_mode else 'out'} --venn")
+        if args.families < 1:
+            parser.error(f"argument --families: must be at least 1, "
+                         f"got {args.families}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

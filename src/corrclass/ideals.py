@@ -1,12 +1,13 @@
 """Nonempty down-sets of the partition lattice and their inclusion order.
 
-An ideal is a bitset over the indices of a :class:`PartitionLattice`.
-Meet is set intersection and join is set union; both stay down-closed.
-The canonical display names an ideal by its maximal elements, e.g.
-"↓{12|3, 13|2}".
+An ideal is a bitset over the indices of a :class:`PartitionLattice`, and
+ideals are ordered by inclusion of their member sets.  The canonical
+display names an ideal by its maximal elements, e.g. "↓{12|3, 13|2}".
 """
 
 from __future__ import annotations
+
+import re
 
 from .partitions import Partition, PartitionLattice
 from .poset import CapExceeded, Poset, bits
@@ -48,22 +49,9 @@ class Ideal:
         return self.lattice.mask_to_partitions(self.members)
 
     def contains(self, other: "Ideal") -> bool:
-        self._check_same(other)
-        return other.members & ~self.members == 0
-
-    def meet(self, other: "Ideal") -> "Ideal":
-        """Set intersection; nonempty since both ideals contain bottom."""
-        self._check_same(other)
-        return Ideal(self.lattice, self.members & other.members)
-
-    def join(self, other: "Ideal") -> "Ideal":
-        """Set union; unions of down-sets stay down-closed."""
-        self._check_same(other)
-        return Ideal(self.lattice, self.members | other.members)
-
-    def _check_same(self, other: "Ideal") -> None:
         if self.lattice is not other.lattice:
             raise ValueError("ideals belong to different lattices")
+        return other.members & ~self.members == 0
 
     def __len__(self) -> int:
         return self.members.bit_count()
@@ -101,18 +89,23 @@ def ideal_from_generators(lattice: PartitionLattice,
     return Ideal(lattice, lattice.poset.down_closure(mask))
 
 
+# A maximal partition in an ideal spec, in brace ("{{1,2},{3}}") or bar
+# ("12|3") notation; the rest of a spec is commas, whitespace and braces.
+_PARTITION = re.compile(r"\{\s*(?:\{[^{}]*\}[\s,]*)+\}|[^\s,{}][^,{}]*")
+# The spec with each partition replaced by "p": a list, bare or braced.
+_SPEC_SHAPE = re.compile(r"[\s,]*(?:p[\s,]*)+|\{[\s,]*(?:p[\s,]*)+\}")
+
+
 def parse_ideal(lattice: PartitionLattice, text: str) -> Ideal:
-    """Parse an ideal from a comma-separated list of maximal partitions."""
-    text = text.strip()
-    if text.startswith("↓"):
-        text = text[1:].strip()
-    if text.startswith("{") and text.endswith("}") and "{{" not in text:
-        text = text[1:-1]
-    parts = [Partition.parse(tok, lattice.n)
-             for tok in text.split(",") if tok.strip()]
-    if not parts:
-        raise ValueError(f"no partitions in ideal spec {text!r}")
-    return ideal_from_generators(lattice, list(parts))
+    """Parse an ideal from a comma-separated list of maximal partitions, each
+    in bar ("12|3") or brace ("{{1,2},{3}}") notation, optionally written
+    as "↓{...}"."""
+    spec = text.strip().removeprefix("↓").strip()
+    if not _SPEC_SHAPE.fullmatch(_PARTITION.sub("p", spec)):
+        raise ValueError(f"expected a comma-separated list of partitions,"
+                         f" got {spec!r}")
+    return ideal_from_generators(lattice, [
+        Partition.parse(tok, lattice.n) for tok in _PARTITION.findall(spec)])
 
 
 def k_partitionable_ideal(lattice: PartitionLattice, k: int) -> Ideal:
@@ -279,16 +272,6 @@ class PropertyContext:
 
     def is_chain(self) -> bool:
         return self.poset.is_chain(self.poset.full)
-
-    def is_antichain(self) -> bool:
-        return self.poset.is_antichain(self.poset.full)
-
-    def covered_mask(self) -> int:
-        """Union of the member sets of all context ideals."""
-        out = 0
-        for ideal in self.ideals:
-            out |= ideal.members
-        return out
 
 
 def full_context(universe: PropertyContext) -> PropertyContext:

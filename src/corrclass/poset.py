@@ -334,14 +334,6 @@ class Poset:
                 return False
         return True
 
-    def is_antichain(self, q: int) -> bool:
-        """True iff no two distinct elements of q are comparable."""
-        self._check_subset(q)
-        for x in bits(q):
-            if (self.below[x] | self.above[x]) & q & ~(1 << x):
-                return False
-        return True
-
     def covers(self) -> list[tuple[int, int]]:
         """The covering pairs (i, j) with j covering i, sorted."""
         out = []
@@ -353,9 +345,6 @@ class Poset:
                     out.append((i, j))
         out.sort()
         return out
-
-    def dual(self) -> "Poset":
-        return Poset.from_leq(list(self.above))
 
     def __len__(self) -> int:
         return self.m

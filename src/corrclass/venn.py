@@ -11,7 +11,6 @@ geometric reasons, which is what the counterexample family exhibits.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from typing import Sequence
 
@@ -89,15 +88,6 @@ class LabeledFamily:
             else:
                 points &= ~a
         return points
-
-    def to_json(self) -> str:
-        """Bipartite incidence serialization."""
-        return json.dumps({
-            "universe_size": self.universe_size,
-            "label_order_covers": self.labels.covers(),
-            "incidence": [sorted(bits(a)) for a in self.assign],
-        })
-
 
 def check_lemma_upset(fam: LabeledFamily) -> dict:
     """Every nonempty cell must carry an up-closed label.

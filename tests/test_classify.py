@@ -5,11 +5,11 @@ import pytest
 
 from corrclass import classify
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
-                                class_order, class_record, class_report_jsonl,
-                                classes_equal, complement_join_members,
-                                cross_check, describe_class, enumerate_filters,
-                                full_filter, lemma_principal_check,
-                                make_filter, meet_members, oracle_cross_check,
+                                class_mask, class_record, class_report_jsonl,
+                                complement_join_members, cross_check,
+                                describe_class, enumerate_filters,
+                                lemma_principal_check, make_filter,
+                                meet_members, oracle_cross_check,
                                 signature_groups, type_set)
 from corrclass.cli import main
 from corrclass.ideals import (atom_context, full_context,
@@ -77,7 +77,7 @@ class TestFilter:
 
 class TestExistence:
     def test_full_filter_realizes_bottom(self, ctx3):
-        f = full_filter(ctx3)
+        f = Filter(ctx3, ctx3.poset.full)
         verdict = class_exists(f)
         assert verdict.exists
         assert verdict.witness == Partition.bottom(3)
@@ -116,44 +116,22 @@ class TestExistence:
 class TestEquality:
     def test_reflexive(self, ctx3):
         for f in enumerate_filters(ctx3):
-            assert classes_equal(f, f)
+            assert class_mask(f) == class_mask(f)
 
     def test_matches_oracle_all_pairs_n3(self, ctx3):
         filters = list(enumerate_filters(ctx3))
         types = {f: type_set(f) for f in filters}
         for i, a in enumerate(filters):
             for b in filters[i:]:
-                assert classes_equal(a, b) == (types[a] == types[b])
+                assert ((class_mask(a) == class_mask(b))
+                        == (types[a] == types[b]))
 
     def test_empty_classes_all_equal(self, ctx3):
         empty = [f for f in enumerate_filters(ctx3) if not type_set(f)]
         assert empty
         for a in empty:
             for b in empty:
-                assert classes_equal(a, b)
-
-    def test_cross_context_rejected(self, ctx3, lat4):
-        f = full_filter(ctx3)
-        g = full_filter(atom_context(lat4))
-        with pytest.raises(ValueError):
-            classes_equal(f, g)
-
-
-class TestOrder:
-    def test_chain_context_orders(self, lat4):
-        ctx = k_partitionability_context(lat4)
-        fs = list(enumerate_filters(ctx))
-        assert len(fs) == 4
-        fs.sort(key=len)
-        assert class_order(fs[0], fs[1]) == "less"
-        assert class_order(fs[1], fs[0]) == "greater"
-        assert class_order(fs[0], fs[0]) == "equal"
-
-    def test_incomparable(self, lat4):
-        ctx = atom_context(lat4)
-        a = make_filter(ctx, [0])
-        b = make_filter(ctx, [1])
-        assert class_order(a, b) == "incomparable"
+                assert class_mask(a) == class_mask(b)
 
 
 class TestEnumerateFilters:
@@ -200,7 +178,7 @@ class TestCrossCheck:
         ctx = atom_context(lat3)
         report = oracle_cross_check(ctx, enumerate_filters(ctx))
         assert report["discrepancies"] == [
-            {"kind": "mask", "labels": [str(full_filter(ctx))]}]
+            {"kind": "mask", "labels": [str(Filter(ctx, ctx.poset.full))]}]
         assert main(["verify", "--n", "3", "--context", "atoms"]) == 3
         assert "FAIL oracle.atoms" in capsys.readouterr().out
 
@@ -243,7 +221,7 @@ class TestDescriptors:
 
     def test_describe_class_sets_types_on_the_verdict(self, monkeypatch,
                                                       ctx3):
-        f = full_filter(ctx3)
+        f = Filter(ctx3, ctx3.poset.full)
         verdict = class_exists(f)
         monkeypatch.setattr(classify, "class_exists", lambda g: verdict)
         assert describe_class(f, ()) is verdict

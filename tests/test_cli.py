@@ -303,6 +303,22 @@ class TestVerify:
             f"error: argument --families: must be at least 1, "
             f"got {families}\n")
 
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (["--venn", "--n", "9", "--exhaustive"], "--n", "without"),
+        (["--venn", "--context", "atoms"], "--context", "without"),
+        (["--venn", "--exhaustive"], "--exhaustive", "without"),
+        (["--n", "4", "--seed", "5"], "--seed", "with"),
+        (["--families", "30"], "--families", "with")])
+    def test_flag_of_the_other_mode_is_a_usage_error(self, capsys, argv,
+                                                     flag, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVARIANT
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: only valid {mode} --venn\n")
+
 
 class TestDot:
     def test_labels_escaped(self):

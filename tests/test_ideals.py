@@ -57,26 +57,13 @@ class TestIdeal:
     def test_display_by_maximal_elements(self, lat3):
         a = principal_ideal(lat3, Partition.parse("12|3"))
         b = principal_ideal(lat3, Partition.parse("13|2"))
-        assert str(a.join(b)) == "↓{12|3, 13|2}"
-
-    def test_meet_is_intersection(self, lat3):
-        a = principal_ideal(lat3, Partition.parse("12|3"))
-        b = principal_ideal(lat3, Partition.parse("13|2"))
-        meet = a.meet(b)
-        assert set(meet.partitions()) == {Partition.bottom(3)}
-
-    def test_join_stays_down_closed(self, lat4):
-        a = principal_ideal(lat4, Partition.parse("12|34"))
-        b = principal_ideal(lat4, Partition.parse("13|24"))
-        j = a.join(b)
-        assert set(j.partitions()) == (set(a.partitions())
-                                       | set(b.partitions()))
+        assert str(Ideal(lat3, a.members | b.members)) == "↓{12|3, 13|2}"
 
     def test_cross_lattice_rejected(self, lat3, lat4):
         a = principal_ideal(lat3, lat3.bottom_index)
         b = principal_ideal(lat4, lat4.bottom_index)
         with pytest.raises(ValueError):
-            a.meet(b)
+            a.contains(b)
 
     def test_parse_ideal_roundtrip(self, lat4):
         a = ideal_from_generators(lat4, [Partition.parse("12|34"),
@@ -84,9 +71,18 @@ class TestIdeal:
         assert parse_ideal(lat4, str(a)) == a
         assert parse_ideal(lat4, "12|34, 13|24") == a
 
+    @pytest.mark.parametrize("spec", ["{{1,2},{3,4}}, {{1,3},{2,4}}",
+                                      "{{{1,2},{3,4}}, {{1,3},{2,4}}}",
+                                      "12|34, 13|24", "↓{12|34, 13|24}"])
+    def test_parse_ideal_notations(self, lat4, spec):
+        # brace and bar notation, bare or wrapped, name the same ideal
+        assert parse_ideal(lat4, spec) == ideal_from_generators(
+            lat4, [Partition.parse("12|34"), Partition.parse("13|24")])
+
     def test_parse_rejects_empty(self, lat3):
-        with pytest.raises(ValueError):
-            parse_ideal(lat3, "")
+        for spec in ("", ",", "{}", "12|3}", "{12|3", "12|3 {13|2}"):
+            with pytest.raises(ValueError):
+                parse_ideal(lat3, spec)
 
 
 class TestFamilies:
@@ -169,21 +165,28 @@ class TestContexts:
     def test_atom_context_n4(self, lat4):
         ctx = atom_context(lat4)
         assert len(ctx) == 6
-        assert ctx.is_antichain()
+        assert ctx.poset.below == [1 << i for i in range(6)]
         assert all(len(i.maximal_partitions()) == 1 for i in ctx.ideals)
 
     def test_coatom_context_n4(self, lat4):
         ctx = coatom_context(lat4)
         assert len(ctx) == 7
-        assert ctx.is_antichain()
+        assert ctx.poset.below == [1 << i for i in range(7)]
         shapes = sorted(i.maximal_partitions()[0].shape()
                         for i in ctx.ideals)
         assert shapes == [(2, 2)] * 3 + [(3, 1)] * 4
 
     def test_covered_mask(self, lat4):
-        assert coatom_context(lat4).covered_mask() != lat4.full_mask
-        full_ctx = k_producibility_context(lat4)
-        assert full_ctx.covered_mask() == lat4.full_mask
+        # the top lies in no coatom ideal; the k'=4 ideal is every partition
+        def union(ctx):
+            out = 0
+            for ideal in ctx.ideals:
+                out |= ideal.members
+            return out
+
+        assert union(coatom_context(lat4)) == lat4.full_mask & ~(
+            1 << lat4.top_index)
+        assert union(k_producibility_context(lat4)) == lat4.full_mask
 
     def test_locate(self, lat4):
         ctx = k_partitionability_context(lat4)

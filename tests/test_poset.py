@@ -60,12 +60,11 @@ class TestOrderPredicates:
     def test_chain_transitive(self):
         assert chain(3).leq(0, 2)
 
-    def test_is_chain_is_antichain(self):
+    def test_is_chain(self):
         p = diamond()
         assert p.is_chain(mask(0, 1, 3))
         assert not p.is_chain(mask(1, 2))
-        assert p.is_antichain(mask(1, 2))
-        assert p.is_chain(mask(1)) and p.is_antichain(mask(1))
+        assert p.is_chain(mask(1))
 
 
 class TestClosures:
@@ -169,7 +168,8 @@ class TestEnumeration:
     def test_dual_count_matches(self):
         p = diamond()
         assert (len(list(p.downsets(include_empty=True)))
-                == len(list(p.dual().upsets(include_empty=True))))
+                == len(list(Poset.from_leq(list(p.above)).upsets(
+                    include_empty=True))))
 
     def test_deterministic(self):
         p = diamond()
