@@ -12,15 +12,16 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .classify import (ClassDescriptor, Filter, class_report_jsonl,
-                       cross_check, describe_class, enumerable,
-                       enumerate_filters, signature_groups)
+from .classify import (ClassDescriptor, Filter, cross_check,
+                       describe_class, enumerable, enumerate_filters,
+                       signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
-from .partitions import PartitionLattice, state_shape
+from .partitions import (Partition, PartitionLattice, shape_string,
+                         state_shape)
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json
 
@@ -78,9 +79,18 @@ class Catalog:
         return self.context.lattice
 
 
-def _shape_summary(d: ClassDescriptor) -> str:
-    shapes = sorted({p.shape() for p in d.types}, reverse=True)
-    return ", ".join(state_shape(s) for s in shapes) if shapes else "-"
+def _rendered(d: ClassDescriptor) -> tuple[str | None, tuple[Partition, ...]]:
+    """A record's witness name (``None`` if it has none) and its types: the
+    one place where a verdict's masks become partitions."""
+    lattice = d.label.context.lattice
+    witness = None if d.witness is None else str(lattice.partitions[d.witness])
+    return witness, lattice.mask_to_partitions(d.types) if d.types else ()
+
+
+def _shapes(types: tuple[Partition, ...], display: Callable) -> str:
+    """The types' distinct shapes, largest first, each shown by ``display``."""
+    return ", ".join(map(display, sorted({p.shape() for p in types},
+                                         reverse=True)))
 
 
 # Each built-in context kind: its context builder and the kind its catalog
@@ -116,12 +126,11 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
         elements = context.poset.upset_order()
         order = lambda g: [g[0] >> e & 1 for e in elements]
     exhaustive = kind != "finest" or enumerable(context)
-    to_partitions = context.lattice.mask_to_partitions
-    classes = [describe_class(Filter(context, label), to_partitions(types))
+    classes = [describe_class(Filter(context, label), types)
                for label, types in sorted(groups.items(), key=order)]
     walk = _unrealized(context, groups) if exhaustive else ()
     checked, discrepancies = cross_check(groups, chain(
-        classes, (describe_class(f, ()) for f in walk)))
+        classes, (describe_class(f, 0) for f in walk)))
     return Catalog(kind, context, classes,
                    EmptyLabels(context, groups, checked - len(classes)),
                    exhaustive, discrepancies=discrepancies)
@@ -153,11 +162,12 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
     """
     records = []
     for d in catalog.classes:
+        witness, types = _rendered(d)
         records.append({
             "label": d.label.minimal_names(),
-            "witness": str(d.witness) if d.witness is not None else None,
-            "type_set": [str(p) for p in d.types],
-            "state_shape": _shape_summary(d),
+            "witness": witness,
+            "type_set": [str(p) for p in types],
+            "state_shape": _shapes(types, state_shape) or "-",
         })
     head = json.dumps({
         "kind": catalog.kind,
@@ -183,22 +193,44 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
     yield "\n  ]\n}"
 
 
+def class_record(d: ClassDescriptor) -> dict:
+    """One JSON-ready record per filter for the report stream."""
+    names = d.label.minimal_names()
+    witness, types = _rendered(d)
+    return {
+        "label": names,
+        "exists": d.exists,
+        "witness": witness,
+        "type_set": [str(p) for p in types],
+        "canonical_generator": names[0] if len(names) == 1 else None,
+    }
+
+
+def class_report_jsonl(
+        descriptors: Iterable[ClassDescriptor]) -> Iterator[str]:
+    """One JSON line per descriptor, newline included, as it is consumed."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # one for all lines
+    for d in descriptors:
+        yield encode(class_record(d)) + "\n"
+
+
 def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
     """The catalog as JSON lines: each class, then each empty label.  An
     empty label's record (mask 0, no witness, no types) is its signature
     group's, which the catalog's cross-check held its verdict to."""
-    empties = (ClassDescriptor(f, 0, False, None) for f in catalog.empties)
+    empties = (ClassDescriptor(f, 0, None) for f in catalog.empties)
     return class_report_jsonl(chain(catalog.classes, empties))
 
 
 def catalog_text(catalog: Catalog) -> str:
     rows = [("label", "witness", "type_set", "state_shape")]
     for d in catalog.classes:
+        witness, types = _rendered(d)
         rows.append((
             str(d.label),
-            str(d.witness) if d.witness is not None else "-",
-            ", ".join(str(p) for p in d.types),
-            _shape_summary(d),
+            witness or "-",
+            ", ".join(map(str, types)),
+            _shapes(types, state_shape) or "-",
         ))
     widths = [max(len(r[c]) for r in rows) for c in range(4)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -209,3 +241,13 @@ def catalog_text(catalog: Catalog) -> str:
               f"{len(catalog.empties)} empty labels"
               f"{' (exhaustive)' if catalog.exhaustive else ''}")
     return "\n".join([header, ""] + lines)
+
+
+def catalog_letters(catalog: Catalog) -> str:
+    """The classes with their types collapsed to orbit shapes (ab|c)."""
+    lines = [f"{catalog.kind} classification, n={catalog.lattice.n}: "
+             f"{len(catalog.classes)} classes"]
+    for d in catalog.classes:
+        shown = _shapes(_rendered(d)[1], shape_string)
+        lines.append(f"  {d.label}  ->  {{{shown}}}")
+    return "\n".join(lines)

@@ -5,22 +5,19 @@ in the context is required to fail.  The semantic model assigns to every
 partition ζ a correlation type: a state of type ζ satisfies exactly the
 ideals containing ζ.  The type set of a filter is the brute-force list of
 types realizing its class, and is the oracle against which the algebraic
-existence and uniqueness tests are cross-checked.
+existence and uniqueness tests are cross-checked.  Verdicts hold masks and
+indices over the partitions; only :mod:`catalogs` makes partitions of them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ideals import Ideal, PropertyContext
-from .partitions import Partition
 from .poset import CapExceeded, bits
 
 EXHAUSTIVE_CONTEXT_MAX = 21  # ideals; a non-chain context has up to 2^21 labels
-# json.dumps(obj, ensure_ascii=False) without building an encoder per call
-_encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class Filter:
@@ -138,23 +135,17 @@ def class_mask(f: Filter) -> int:
 # its types; a frozen dataclass's __init__ costs about 1 µs more per object.
 @dataclass
 class ClassDescriptor:
-    """A label's verdict: its existence data and realizing types."""
+    """A label's verdict over the lattice's partition indices: its class
+    mask, its witness's index (``None`` if the class is empty) and the
+    mask of its types (0 until :func:`describe_class` sets it)."""
     label: Filter
-    mask: int  # class mask: the partitions the algebra puts in the class
-    exists: bool
-    witness: Partition | None
-    types: tuple[Partition, ...] = ()
+    mask: int
+    witness: int | None
+    types: int = 0
 
-    def type_mask(self) -> int:
-        lattice = self.label.context.lattice
-        out = 0
-        for p in self.types:
-            out |= 1 << lattice.index[p]
-        return out
-
-    def witness_mask(self) -> int:
-        lattice = self.label.context.lattice
-        return 0 if self.witness is None else 1 << lattice.index[self.witness]
+    @property
+    def exists(self) -> bool:
+        return self.mask != 0
 
 
 def class_exists(f: Filter) -> ClassDescriptor:
@@ -164,14 +155,13 @@ def class_exists(f: Filter) -> ClassDescriptor:
     """
     mask = class_mask(f)
     if not mask:
-        return ClassDescriptor(f, 0, False, None)
+        return ClassDescriptor(f, 0, None)
     minimal = f.context.lattice.poset.minimal(mask)
-    first = (minimal & -minimal).bit_length() - 1
-    return ClassDescriptor(f, mask, True, f.context.lattice.partitions[first])
+    return ClassDescriptor(f, mask, (minimal & -minimal).bit_length() - 1)
 
 
-def type_set(f: Filter) -> tuple[Partition, ...]:
-    """Brute-force oracle: the correlation types realizing the class.
+def type_set(f: Filter) -> int:
+    """Brute-force oracle: the mask of the types realizing the class.
 
     A type ζ realizes the class iff every filter ideal contains ζ and no
     complement ideal does; checked partition by partition, membership by
@@ -187,8 +177,8 @@ def type_set(f: Filter) -> tuple[Partition, ...]:
             member_masks.append(ideal.members)
         else:
             other_masks.append(ideal.members)
-    out = []
-    for idx, zeta in enumerate(f.context.lattice.partitions):
+    out = 0
+    for idx in range(len(f.context.lattice)):
         bit = 1 << idx
         for mask in member_masks:
             if not mask & bit:
@@ -198,8 +188,8 @@ def type_set(f: Filter) -> tuple[Partition, ...]:
                 if mask & bit:
                     break
             else:
-                out.append(zeta)
-    return tuple(out)
+                out |= bit
+    return out
 
 
 def signature_groups(context: PropertyContext) -> dict[int, int]:
@@ -221,15 +211,11 @@ def signature_groups(context: PropertyContext) -> dict[int, int]:
     return groups
 
 
-def describe_class(f: Filter,
-                   types: tuple[Partition, ...] | None = None) -> ClassDescriptor:
-    """The label's :func:`class_exists` record with ``types`` set on it,
-    ``type_set(f)`` by default.
-
-    A catalog passes the types of the label's signature group (``()`` for a
-    label that no partition has as its signature), so ``type_set`` runs only
-    where it is the second oracle, as in ``verify``.
-    """
+def describe_class(f: Filter, types: int | None = None) -> ClassDescriptor:
+    """The label's :func:`class_exists` record with the type mask ``types``
+    set on it: ``type_set(f)`` by default, and in a catalog the label's
+    signature group (0 if it has none), so ``type_set`` runs only where it
+    is the second oracle, as in ``verify``."""
     d = class_exists(f)
     d.types = type_set(f) if types is None else types
     return d
@@ -311,12 +297,12 @@ def cross_check(groups: dict[int, int],
     discrepancies = []
     for checked, d in enumerate(records, 1):
         group = groups.get(d.label.members, 0)
-        witness = d.witness_mask()
+        witness = 0 if d.witness is None else 1 << d.witness
         if d.exists != bool(group):
             kind = "existence"
         elif d.mask != group:
             kind = "mask"
-        elif d.type_mask() != group:
+        elif d.types != group:
             kind = "type_set"
         elif ((witness & d.label.context.lattice.poset.minimal(group)) == 0
               if group else witness != 0):
@@ -339,22 +325,3 @@ def oracle_cross_check(context: PropertyContext,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }
-
-
-def class_record(d: ClassDescriptor) -> dict:
-    """One JSON-ready record per filter for the report stream."""
-    names = d.label.minimal_names()
-    return {
-        "label": names,
-        "exists": d.exists,
-        "witness": str(d.witness) if d.witness is not None else None,
-        "type_set": [str(p) for p in d.types],
-        "canonical_generator": names[0] if len(names) == 1 else None,
-    }
-
-
-def class_report_jsonl(
-        descriptors: Iterable[ClassDescriptor]) -> Iterator[str]:
-    """One JSON line per descriptor, newline included, as it is consumed."""
-    for d in descriptors:
-        yield _encode_record(class_record(d)) + "\n"

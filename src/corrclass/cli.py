@@ -18,8 +18,7 @@ from . import classify as cf
 from . import ideals as idl
 from . import venn
 from .hasse import dot_poset
-from .partitions import (PartitionLattice, bell_number, enumerate_partitions,
-                         shape_string)
+from .partitions import PartitionLattice, bell_number, enumerate_partitions
 from .poset import CapExceeded, Poset
 
 EXIT_OK = 0
@@ -81,16 +80,6 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _catalog_letters(catalog: cat.Catalog) -> str:
-    lines = [f"{catalog.kind} classification, n={catalog.lattice.n}: "
-             f"{len(catalog.classes)} classes"]
-    for d in catalog.classes:
-        shapes = sorted({p.shape() for p in d.types}, reverse=True)
-        shown = ", ".join(shape_string(s) for s in shapes)
-        lines.append(f"  {d.label}  ->  {{{shown}}}")
-    return "\n".join(lines)
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     lattice = enumerate_partitions(args.n)
     if args.context == "custom":
@@ -103,7 +92,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     elif args.output == "jsonl":
         sys.stdout.writelines(cat.catalog_jsonl(catalog))
     elif args.letters:
-        print(_catalog_letters(catalog))
+        print(cat.catalog_letters(catalog))
     else:
         print(cat.catalog_text(catalog))
     if catalog.discrepancies:

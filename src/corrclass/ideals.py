@@ -45,9 +45,6 @@ class Ideal:
         return self.lattice.mask_to_partitions(
             self.lattice.poset.maximal(self.members))
 
-    def partitions(self) -> tuple[Partition, ...]:
-        return self.lattice.mask_to_partitions(self.members)
-
     def contains(self, other: "Ideal") -> bool:
         if self.lattice is not other.lattice:
             raise ValueError("ideals belong to different lattices")

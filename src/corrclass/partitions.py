@@ -23,6 +23,11 @@ from .poset import Poset, bits
 # can be classified.
 MAX_N = 8
 
+# One partition in bar ("12|3") or brace ("{{1,2},{3}}") notation.
+_NOTATION = re.compile(
+    r"\d+(?:\s*\|\s*\d+)*|\{\s*(?:\{\s*\d+(?:[\s,]+\d+)*\s*\}[\s,]*)+\}",
+    re.ASCII)
+
 
 def bell_number(n: int) -> int:
     """Bell numbers via the triangle recurrence (independent of enumeration)."""
@@ -72,18 +77,16 @@ class Partition:
     def parse(cls, text: str, n: int | None = None) -> "Partition":
         """Parse "12|3" or "{{1,2},{3}}"; n defaults to the label count."""
         text = text.strip()
+        if not _NOTATION.fullmatch(text):
+            raise ValueError(f"cannot parse partition from {text!r}")
         if text.startswith("{"):
-            groups = re.findall(r"\{([\d\s,]+)\}", text)
-            sets = [[int(t) for t in re.split(r"[,\s]+", g.strip())]
-                    for g in groups]
+            sets = [[int(t) for t in re.findall(r"\d+", block)]
+                    for block in re.findall(r"\{([^{}]*)\}", text)]
         else:
             sets = [[int(ch) for ch in part.strip()]
                     for part in text.split("|")]
-        labels = [lab for s in sets for lab in s]
-        if not labels:
-            raise ValueError(f"cannot parse partition from {text!r}")
         if n is None:
-            n = max(labels)
+            n = max(lab for s in sets for lab in s)
         return cls.from_sets(n, sets)
 
     @classmethod

@@ -47,18 +47,18 @@ def test_criterion_01_partition_counts():
 def test_criterion_02_finest_n3():
     t0 = time.monotonic()
     cat = catalog_for("full", enumerate_partitions(3))
-    lattice = cat.lattice
+    types = cat.lattice.mask_to_partitions
     ok = len(cat.classes) == 5
     # labels are exactly the principal filters of principal ideals
     for d in cat.classes:
         mins = d.label.minimal_ideals()
         ok = ok and len(mins) == 1 and len(mins[0].maximal_partitions()) == 1
-        ok = ok and d.types == mins[0].maximal_partitions()
+        ok = ok and types(d.types) == mins[0].maximal_partitions()
     # pairwise unequal classes
     for i, a in enumerate(cat.classes):
         for b in cat.classes[i + 1:]:
             ok = ok and class_mask(a.label) != class_mask(b.label)
-    shapes = sorted(d.types[0].shape() for d in cat.classes)
+    shapes = sorted(types(d.types)[0].shape() for d in cat.classes)
     ok = ok and shapes == [(1, 1, 1)] + [(2, 1)] * 3 + [(3,)]
     ok = ok and elapsed_ok(t0, 1)
     report(2, ok, "finest n=3: 5 classes, principal labels, 1+3+1 shapes")
@@ -69,8 +69,9 @@ def test_criterion_03_finest_n4():
     cat = catalog_for("full", enumerate_partitions(4))
     by_shape = {}
     for d in cat.classes:
-        assert len(d.types) == 1
-        by_shape[d.types[0].shape()] = by_shape.get(d.types[0].shape(), 0) + 1
+        assert d.types.bit_count() == 1
+        shape = cat.lattice.mask_to_partitions(d.types)[0].shape()
+        by_shape[shape] = by_shape.get(shape, 0) + 1
     ok = (len(cat.classes) == 15
           and by_shape == {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3,
                            (3, 1): 4, (4,): 1}
@@ -89,17 +90,15 @@ def test_criterion_04_chain_catalogs():
     lattice = enumerate_partitions(4)
     part = catalog_for("k_part", lattice)
     prod = catalog_for("k_prod", lattice)
+    part_types = [lattice.mask_to_partitions(d.types) for d in part.classes]
+    prod_types = [lattice.mask_to_partitions(d.types) for d in prod.classes]
     # bottom-up: the 2-partitionable class is second from the top
-    two_part = [d for d in part.classes
-                if {p.parts_count for p in d.types} == {2}]
+    two_part = [t for t in part_types if {p.parts_count for p in t} == {2}]
     ok = ok and len(two_part) == 1 and (
-        sorted({p.shape() for p in two_part[0].types})
-        == [(2, 2), (3, 1)])
-    two_prod = [d for d in prod.classes
-                if {p.max_part_size for p in d.types} == {2}]
+        sorted({p.shape() for p in two_part[0]}) == [(2, 2), (3, 1)])
+    two_prod = [t for t in prod_types if {p.max_part_size for p in t} == {2}]
     ok = ok and len(two_prod) == 1 and (
-        sorted({p.shape() for p in two_prod[0].types})
-        == [(2, 1, 1), (2, 2)])
+        sorted({p.shape() for p in two_prod[0]}) == [(2, 1, 1), (2, 2)])
     ok = ok and elapsed_ok(t0, 10)
     report(4, ok, "chains n=3,4,5: n classes each; n=4 type sets as listed")
 
@@ -130,7 +129,8 @@ def test_criterion_05_atom_antichain_computed():
         full = [d for d in cat.classes if len(d.label) == comb(n, 2)]
         ok = ok and len(cat.classes) == comb(n, 2) + 1
         ok = ok and len(singles) == comb(n, 2) and len(full) == 1
-        ok = ok and full[0].types == (Partition.bottom(n),)
+        ok = ok and (cat.lattice.mask_to_partitions(full[0].types)
+                     == (Partition.bottom(n),))
         # every strictly intermediate label is empty
         ok = ok and all(len(d.label) in (1, comb(n, 2)) for d in cat.classes)
     ok = ok and elapsed_ok(t0, 30)

@@ -15,8 +15,13 @@ def covered_mask(catalog):
     """The partitions some class realizes: the OR of the type masks."""
     out = 0
     for d in catalog.classes:
-        out |= d.type_mask()
+        out |= d.types
     return out
+
+
+def types_of(catalog, d):
+    """The types of one of the catalog's classes, as partitions."""
+    return catalog.lattice.mask_to_partitions(d.types)
 
 
 class TestFinest:
@@ -26,7 +31,7 @@ class TestFinest:
         assert cat.exhaustive
         assert len(cat.classes) == 5
         assert len(cat.empties) == 15
-        types = {d.types for d in cat.classes}
+        types = {types_of(cat, d) for d in cat.classes}
         assert types == {(p,) for p in cat.lattice.partitions}
 
     def test_all_classes_nonempty(self, lat3):
@@ -36,7 +41,7 @@ class TestFinest:
     def test_empties_really_empty(self, lat3):
         cat = catalog_for("full", lat3)
         for f in cat.empties:
-            assert type_set(f) == ()
+            assert type_set(f) == 0
 
     def test_n4_not_exhaustive(self, lat4):
         cat = catalog_for("full", lat4)
@@ -55,18 +60,19 @@ class TestChains:
         assert list(cat.empties) == []
         # bottom-up: class k collects partitions with exactly k parts
         for k, d in zip(range(4, 0, -1), cat.classes):
-            assert {p.parts_count for p in d.types} == {k}
+            assert {p.parts_count for p in types_of(cat, d)} == {k}
 
     def test_producibility_n4(self, lat4):
         cat = catalog_for("k_prod", lat4)
         assert len(cat.classes) == 4
         # class k' collects partitions with largest part exactly k'
         for kp, d in zip(range(1, 5), cat.classes):
-            assert {p.max_part_size for p in d.types} == {kp}
+            assert {p.max_part_size for p in types_of(cat, d)} == {kp}
 
     def test_producibility_shapes_n4(self, lat4):
         cat = catalog_for("k_prod", lat4)
-        shapes = [sorted({p.shape() for p in d.types}) for d in cat.classes]
+        shapes = [sorted({p.shape() for p in types_of(cat, d)})
+                  for d in cat.classes]
         assert shapes == [
             [(1, 1, 1, 1)],
             [(2, 1, 1), (2, 2)],
@@ -90,11 +96,10 @@ class TestAntichains:
         singles = [d for d in cat.classes if len(d.label) == 1]
         assert len(singles) == 6
         for d in singles:
-            assert len(d.types) == 1
-            assert d.types[0].parts_count == 3
+            assert [p.parts_count for p in types_of(cat, d)] == [3]
         full = [d for d in cat.classes if len(d.label) == 6]
         assert len(full) == 1
-        assert full[0].types == (Partition.bottom(4),)
+        assert types_of(cat, full[0]) == (Partition.bottom(4),)
 
     def test_atoms_do_not_cover(self, lat4):
         cat = catalog_for("atoms", lat4)
@@ -113,21 +118,20 @@ class TestAntichains:
         assert len(singles) == 7
         for d in singles:
             # the bipartition itself plus nothing else
-            assert [p.parts_count for p in d.types] == [2]
+            assert [p.parts_count for p in types_of(cat, d)] == [2]
 
     def test_coatom_triples_realize_atoms(self, lat4):
         cat = catalog_for("coatoms", lat4)
         triples = [d for d in cat.classes if len(d.label) == 3]
         assert len(triples) == 6
         for d in triples:
-            assert len(d.types) == 1
-            assert d.types[0].parts_count == 3
+            assert [p.parts_count for p in types_of(cat, d)] == [3]
 
     def test_coatom_full_realizes_bottom(self, lat4):
         cat = catalog_for("coatoms", lat4)
         full = [d for d in cat.classes if len(d.label) == 7]
         assert len(full) == 1
-        assert full[0].types == (Partition.bottom(4),)
+        assert types_of(cat, full[0]) == (Partition.bottom(4),)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_coatom_classes_closed_form(self, n):

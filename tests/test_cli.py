@@ -131,6 +131,18 @@ class TestClassify:
         assert out == ""
         assert err.startswith(f"error: {path}:3: ")
 
+    def test_custom_context_malformed_partition(self, capsys, tmp_path):
+        # an empty block is not skipped: the line is not a partition of 1..3
+        path = tmp_path / "ctx.txt"
+        path.write_text("12|3\n{{1},{2},{3},{}}\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--n", "3",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == (f"error: {path}:2: cannot parse partition from"
+                       f" '{{{{1}},{{2}},{{3}},{{}}}}'\n")
+
     def test_custom_context_duplicate_ideal(self, capsys, tmp_path):
         # line 3 names line 1's ideal by another generator list
         path = tmp_path / "ctx.txt"

@@ -35,3 +35,16 @@ def test_every_export_is_used_outside_the_tests():
     unused = sorted(name for name in exported_names() if name not in used
                     and not re.search(rf"\b{name}\b", readme))
     assert unused == []
+
+
+def test_classify_names_no_partition():
+    """``classify`` reads Level I as masks (the lattice's poset, full mask
+    and size) and leaves every partition object to the writers."""
+    path = PACKAGE / "classify.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module, *(alias.name for alias in node.names)}
+    forbidden = {"Partition", "partitions", "index", "shape",
+                 "mask_to_partitions"}
+    assert sorted((code_references(path) | imported) & forbidden) == []

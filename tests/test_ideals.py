@@ -42,7 +42,7 @@ class TestIdeal:
         for i, p in enumerate(lat4.partitions):
             ideal = principal_ideal(lat4, i)
             expected = {q for q in lat4.partitions if q.refines(p)}
-            assert set(ideal.partitions()) == expected
+            assert set(lat4.mask_to_partitions(ideal.members)) == expected
             assert ideal.maximal_partitions() == (p,)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -83,6 +83,12 @@ class TestIdeal:
         for spec in ("", ",", "{}", "12|3}", "{12|3", "12|3 {13|2}"):
             with pytest.raises(ValueError):
                 parse_ideal(lat3, spec)
+        # one partition in one notation, or an error that names the text
+        for spec in ("{{1},{2},{3},{}}", "{{1,a},{2,3}}", "12|3x",
+                     "12|3 13|2"):
+            with pytest.raises(ValueError, match=(
+                    r"^cannot parse partition from '\S")):
+                parse_ideal(lat3, spec)
 
 
 class TestFamilies:
@@ -91,27 +97,31 @@ class TestFamilies:
 
     def test_n_partitionable_is_bottom_only(self, lat4):
         ideal = k_partitionable_ideal(lat4, 4)
-        assert set(ideal.partitions()) == {Partition.bottom(4)}
+        assert set(lat4.mask_to_partitions(ideal.members)) == {
+            Partition.bottom(4)}
 
     def test_n_producible_is_everything(self, lat4):
         assert len(k_producible_ideal(lat4, 4)) == len(lat4)
 
     def test_one_producible_is_bottom_only(self, lat4):
         ideal = k_producible_ideal(lat4, 1)
-        assert set(ideal.partitions()) == {Partition.bottom(4)}
+        assert set(lat4.mask_to_partitions(ideal.members)) == {
+            Partition.bottom(4)}
 
     def test_two_producible_n4(self, lat4):
         ideal = k_producible_ideal(lat4, 2)
-        assert all(p.max_part_size <= 2 for p in ideal.partitions())
+        assert all(p.max_part_size <= 2
+                   for p in lat4.mask_to_partitions(ideal.members))
         assert len(ideal) == 10  # 1 + 6 pairings + 3 double pairings
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_chains_match_block_statistics(self, n):
         lattice = enumerate_partitions(n)
+        members = lattice.mask_to_partitions
         for k in range(1, n + 1):
-            assert set(k_partitionable_ideal(lattice, k).partitions()) == {
+            assert set(members(k_partitionable_ideal(lattice, k).members)) == {
                 p for p in lattice.partitions if p.parts_count >= k}
-            assert set(k_producible_ideal(lattice, k).partitions()) == {
+            assert set(members(k_producible_ideal(lattice, k).members)) == {
                 p for p in lattice.partitions if p.max_part_size <= k}
 
     def test_k_out_of_range(self, lat4):

@@ -26,15 +26,15 @@ from test_signature import BUILT_IN_CONTEXTS, _lattice, custom_contexts
 def reference_type_set(f):
     member_ideals = tuple(f.context.ideals[i] for i in bits(f.members))
     other_ideals = tuple(f.context.ideals[i] for i in bits(f.complement))
-    out = []
-    for idx, zeta in enumerate(f.context.lattice.partitions):
+    out = 0
+    for idx in range(len(f.context.lattice)):
         bit = 1 << idx
         if any(not ideal.members & bit for ideal in member_ideals):
             continue
         if any(ideal.members & bit for ideal in other_ideals):
             continue
-        out.append(zeta)
-    return tuple(out)
+        out |= bit
+    return out
 
 
 def reference_meet_members(f):

@@ -17,8 +17,8 @@ import pytest
 
 from corrclass import catalogs
 from corrclass import ideals as idl
-from corrclass.classify import (class_record, class_report_jsonl,
-                                describe_class, enumerate_filters)
+from corrclass.catalogs import class_record, class_report_jsonl
+from corrclass.classify import describe_class, enumerate_filters
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.partitions import PartitionLattice, enumerate_partitions
 from corrclass.poset import OrderViolation, Poset
@@ -208,7 +208,7 @@ def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
     catalog = catalogs.catalog_for(kind, enumerate_partitions(n))
     assert catalog.empties
     for f in catalog.empties:
-        assert class_record(describe_class(f, ())) == class_record(
+        assert class_record(describe_class(f, 0)) == class_record(
             describe_class(f))
     reference = "".join(class_report_jsonl(
         catalog.classes + [describe_class(f) for f in catalog.empties]))

@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrclass import catalogs
-from corrclass.catalogs import (_shape_summary, catalog_for, catalog_json,
-                                custom_catalog)
-from corrclass.classify import (class_report_jsonl, describe_class,
-                                enumerate_filters)
+from corrclass.catalogs import (catalog_for, catalog_json,
+                                class_report_jsonl, custom_catalog)
+from corrclass.classify import describe_class, enumerate_filters
 from corrclass.ideals import PropertyContext, ideal_from_generators
-from corrclass.partitions import enumerate_partitions
+from corrclass.partitions import enumerate_partitions, state_shape
+from corrclass.poset import bits
 
 # sha256 of `corrclass classify --n 6 --context atoms --output json` stdout
 ATOMS_6_SHA256 = ("bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3f"
@@ -30,6 +30,19 @@ ATOMS_6_SHA256 = ("bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3f"
 
 def label_name(f) -> str:
     return "↑{" + ", ".join(str(i) for i in f.minimal_ideals()) + "}"
+
+
+def reference_class(catalog, d) -> dict:
+    """A class's record, its partitions read off the lattice by index."""
+    partitions = catalog.lattice.partitions
+    types = [partitions[i] for i in bits(d.types)]
+    shapes = sorted({p.shape() for p in types}, reverse=True)
+    return {
+        "label": [str(i) for i in d.label.minimal_ideals()],
+        "witness": None if d.witness is None else str(partitions[d.witness]),
+        "type_set": [str(p) for p in types],
+        "state_shape": ", ".join(map(state_shape, shapes)) or "-",
+    }
 
 
 def reference_json(catalog) -> str:
@@ -41,12 +54,7 @@ def reference_json(catalog) -> str:
         "class_count": len(catalog.classes),
         "empty_label_count": len(catalog.empties),
         "exhaustive": catalog.exhaustive,
-        "classes": [{
-            "label": [str(i) for i in d.label.minimal_ideals()],
-            "witness": str(d.witness) if d.witness is not None else None,
-            "type_set": [str(p) for p in d.types],
-            "state_shape": _shape_summary(d),
-        } for d in catalog.classes],
+        "classes": [reference_class(catalog, d) for d in catalog.classes],
         "empty_labels": [label_name(f) for f in catalog.empties],
     }, ensure_ascii=False, indent=2)
 
@@ -131,7 +139,7 @@ def test_jsonl_yields_a_line_per_descriptor_consumed(ip3):
     def descriptors():
         for f in enumerate_filters(ip3):
             consumed.append(f)
-            yield describe_class(f, ())
+            yield describe_class(f, 0)
 
     lines = class_report_jsonl(descriptors())
     first = next(lines)
