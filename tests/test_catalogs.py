@@ -4,8 +4,9 @@ import pytest
 
 from corrclass import classify
 from corrclass.catalogs import (KINDS, Catalog, catalog_for, catalog_json,
-                                catalog_text, custom_catalog)
-from corrclass.classify import enumerate_filters, signature_groups, type_set
+                                catalog_jsonl, catalog_text, custom_catalog)
+from corrclass.classify import (ClassDescriptor, Filter, enumerate_filters,
+                                signature_groups, type_set)
 from corrclass.ideals import PropertyContext, coatom_context, principal_ideal
 from corrclass.partitions import Partition, bell_number, enumerate_partitions
 from corrclass.poset import CapExceeded
@@ -24,6 +25,13 @@ def types_of(catalog, d):
     return catalog.lattice.mask_to_partitions(d.types)
 
 
+def empty_filters(catalog):
+    """The catalog's empty labels, each rebuilt from its minimal mask."""
+    context = catalog.context
+    return [Filter(context, context.poset.up_closure(mins))
+            for mins in catalog.empties]
+
+
 class TestFinest:
     def test_one_class_per_partition(self, lat3):
         cat = catalog_for("full", lat3)
@@ -40,7 +48,7 @@ class TestFinest:
 
     def test_empties_really_empty(self, lat3):
         cat = catalog_for("full", lat3)
-        for f in cat.empties:
+        for f in empty_filters(cat):
             assert type_set(f) == 0
 
     def test_n4_not_exhaustive(self, lat4):
@@ -194,8 +202,8 @@ class TestDispatch:
     and not (n == 5 and kind == "full")])
 def test_empty_labels_view_rewalks(kind, n):
     cat = catalog_for(kind, enumerate_partitions(n))
-    first = [f.members for f in cat.empties]
-    assert [f.members for f in cat.empties] == first
+    first = [f.members for f in empty_filters(cat)]
+    assert [f.members for f in empty_filters(cat)] == first
     assert len(cat.empties) == len(first)
     if cat.exhaustive:
         groups = signature_groups(cat.context)
@@ -203,6 +211,35 @@ def test_empty_labels_view_rewalks(kind, n):
                          if f.members not in groups]
     else:
         assert first == []
+
+
+@pytest.mark.parametrize("writer", [catalog_json, catalog_jsonl])
+def test_empty_labels_make_no_objects(monkeypatch, lat4, writer):
+    # atoms at n = 4: 63 labels, 7 of them classes; each empty label is
+    # checked and written from the walk's masks alone
+    made = {"Filter": 0, "ClassDescriptor": 0}
+
+    def counted(cls, name):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            made[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    counted(Filter, "Filter")
+    counted(ClassDescriptor, "ClassDescriptor")
+    walked = Filter._walked.__func__
+
+    def counted_walked(cls, *args):
+        made["Filter"] += 1
+        return walked(cls, *args)
+    monkeypatch.setattr(Filter, "_walked", classmethod(counted_walked))
+    cat = catalog_for("atoms", lat4)
+    out = "".join(writer(cat))
+    assert len(cat.classes) == 7 and len(cat.empties) == 56
+    assert out.count("\n") >= 56  # a line per empty label, at least
+    assert made == {"Filter": 7, "ClassDescriptor": 7}
 
 
 class TestRendering:

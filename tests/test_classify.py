@@ -232,7 +232,8 @@ class TestDescriptors:
         assert verdict.types == type_set(f)
 
     def test_jsonl_describes_each_label_once(self, monkeypatch, capsys):
-        # atoms at n = 4: 63 labels, 7 of them classes
+        # atoms at n = 4: 63 labels, 7 of them classes; an empty label is
+        # checked and written from the walk's masks, with no record
         calls = []
 
         def counted(f):
@@ -243,7 +244,7 @@ class TestDescriptors:
         assert main(["classify", "--n", "4", "--context", "atoms",
                      "--output", "jsonl"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 63
-        assert len(calls) == len(set(calls)) == 63
+        assert len(calls) == len(set(calls)) == 7
 
     def test_jsonl_records(self, ctx3):
         import json

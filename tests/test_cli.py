@@ -143,6 +143,28 @@ class TestClassify:
         assert err == (f"error: {path}:2: cannot parse partition from"
                        f" '{{{{1}},{{2}},{{3}},{{}}}}'\n")
 
+    def test_custom_context_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "ctx.txt"
+        path.write_bytes(b"12|3\n13|2\xff\n1|23\n")
+        code, out, err = run(capsys, "classify", "--n", "3",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == f"error: {path}:2: not valid UTF-8\n"
+
+    def test_custom_context_byte_order_mark(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("12|3\n13|2\n", encoding="utf-8")
+        marked = tmp_path / "marked.txt"
+        marked.write_text("12|3\n13|2\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        results = [run(capsys, "classify", "--n", "3", "--context", "custom",
+                       "--context-file", str(path), "--output", "json")
+                   for path in (plain, marked)]
+        assert results[0] == results[1]
+        assert results[1][0] == EXIT_OK
+
     def test_custom_context_duplicate_ideal(self, capsys, tmp_path):
         # line 3 names line 1's ideal by another generator list
         path = tmp_path / "ctx.txt"

@@ -18,7 +18,7 @@ import pytest
 from corrclass import catalogs
 from corrclass import ideals as idl
 from corrclass.catalogs import class_record, class_report_jsonl
-from corrclass.classify import describe_class, enumerate_filters
+from corrclass.classify import Filter, describe_class, enumerate_filters
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.partitions import PartitionLattice, enumerate_partitions
 from corrclass.poset import OrderViolation, Poset
@@ -207,11 +207,14 @@ def test_n7_outputs_pinned(capsys, args):
 def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
     catalog = catalogs.catalog_for(kind, enumerate_partitions(n))
     assert catalog.empties
-    for f in catalog.empties:
+    context = catalog.context
+    empties = [Filter(context, context.poset.up_closure(mins))
+               for mins in catalog.empties]
+    for f in empties:
         assert class_record(describe_class(f, 0)) == class_record(
             describe_class(f))
     reference = "".join(class_report_jsonl(
-        catalog.classes + [describe_class(f) for f in catalog.empties]))
+        catalog.classes + [describe_class(f) for f in empties]))
     code = main(["classify", "--n", str(n), "--context", kind,
                  "--output", "jsonl"])
     out = capsys.readouterr().out

@@ -3,9 +3,10 @@
 Bell(8) = 4140 partitions.  The budgets are loose on purpose; they fail
 when Level I falls back to a quadratic build (about 25 s at n = 8), or
 when ``verify --n 5`` (every label checked by ``type_set`` and the lemma,
-about 1.2 s) grows several times slower.  ``verify --n 8 --context
-k_prod`` takes about 0.65 s; the linear call count of its principal-meet
-check is pinned in ``test_pair_masks.py``.
+about 1.2 s) or the atoms catalog at n = 6 (2^15 - 1 labels, about
+0.3 s) grows several times slower.  ``verify --n 8 --context k_prod``
+takes about 0.65 s; the linear call count of its principal-meet check is
+pinned in ``test_pair_masks.py``.
 """
 
 import json
@@ -21,6 +22,7 @@ N = 8
 BELL_8 = 4140
 BUDGET_S = 10
 VERIFY_N5_BUDGET_S = 5
+ATOMS_N6_BUDGET_S = 5
 
 
 def stirling2(n, k):
@@ -83,3 +85,14 @@ def test_verify_n5(capsys):
     assert oracle == [("k_part", "5"), ("k_prod", "5"), ("atoms", "1023"),
                       ("coatoms", "32767")]
     assert elapsed < VERIFY_N5_BUDGET_S
+
+
+def test_atoms_catalog_n6(capsys):
+    code, out, elapsed = run_timed(capsys, "classify", "--n", "6",
+                                   "--context", "atoms", "--output", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["class_count"] == len(doc["classes"]) == 16
+    assert (doc["empty_label_count"] == len(doc["empty_labels"])
+            == 2 ** 15 - 1 - 16)
+    assert elapsed < ATOMS_N6_BUDGET_S

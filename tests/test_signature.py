@@ -91,14 +91,15 @@ def test_cli_outputs_pinned(capsys, args):
 
 
 def reference_catalog(context: PropertyContext) -> Catalog:
-    """The filter-by-filter path: describe_class on every label."""
+    """The filter-by-filter path: describe_class on every label, each empty
+    label kept as its minimal mask, computed from scratch."""
     classes, empties = [], []
     for f in enumerate_filters(context):
         d = describe_class(f)
         if d.exists:
             classes.append(d)
         else:
-            empties.append(f)
+            empties.append(context.poset.minimal(f.members))
     return Catalog("custom", context, classes, empties, True)
 
 
@@ -144,28 +145,46 @@ def _flipped(verdict):
     return replace(verdict, mask=0 if verdict.exists else 1)
 
 
-def _flip_pairs(f):
-    """class_exists, with the verdict of every two-ideal label inverted."""
-    verdict = class_exists(f)
-    return _flipped(verdict) if len(f) == 2 else verdict
+def _flip_carried(monkeypatch, flip):
+    """Make the label walk carry a nonempty class mask to each empty label
+    whose member mask satisfies ``flip``, by dropping its complement join:
+    the filter meet left over is never empty (every ideal holds the finest
+    partition).  An empty label's verdict is its carried mask, so this
+    reaches the catalog and, through ``enumerate_filters``, the oracle."""
+    walk = Poset.weighted_upsets
+
+    def flipped(self, weights, top):
+        for members, mins, meet, join in walk(self, weights, top):
+            if flip(members) and not meet & ~join:
+                join = 0
+            yield members, mins, meet, join
+
+    monkeypatch.setattr(Poset, "weighted_upsets", flipped)
+
+
+def _two_ideals(members):
+    return members.bit_count() == 2
 
 
 def test_empty_label_disagreement_recorded(monkeypatch, lat4):
-    monkeypatch.setattr(classify, "class_exists", _flip_pairs)
+    _flip_carried(monkeypatch, _two_ideals)
     cat = catalog_for("atoms", lat4)
     # the signature lookup still decides: 7 classes, and every two-atom
     # label (all empty) is reported as a disagreement
     assert len(cat.classes) == 7
     assert len(cat.discrepancies) == 15
     assert {d["kind"] for d in cat.discrepancies} == {"existence"}
+    context = cat.context
+    empties = [Filter(context, context.poset.up_closure(mins))
+               for mins in cat.empties]
     assert sorted(d["labels"] for d in cat.discrepancies) == sorted(
-        [str(f)] for f in cat.empties if len(f) == 2)
+        [str(f)] for f in empties if len(f) == 2)
 
 
 def test_cli_fails_on_empty_label_disagreement(monkeypatch, capsys):
     main(["classify", "--n", "4", "--context", "atoms", "--output", "json"])
     clean = capsys.readouterr().out
-    monkeypatch.setattr(classify, "class_exists", _flip_pairs)
+    _flip_carried(monkeypatch, _two_ideals)
     code = main(["classify", "--n", "4", "--context", "atoms",
                  "--output", "json"])
     captured = capsys.readouterr()
@@ -272,14 +291,21 @@ def test_non_minimal_witness_recorded(monkeypatch, capsys, lat4):
                                      "↑{↓{12|3}, ↓{13|2}}"])
 def test_catalog_and_oracle_record_alike(monkeypatch, lat3, flipped):
     # one realized and one empty label of the non-chain atom context at
-    # n=3; each check path must report its flipped verdict the same way
+    # n=3; each check path must report its flipped verdict the same way.
+    # A class's verdict is its class_exists record, an empty label's the
+    # class mask the walk carried to it.
     context = atom_context(lat3)
+    target = next(f.members for f in enumerate_filters(context)
+                  if str(f) == flipped)
 
     def flip_one(f):
         verdict = class_exists(f)
         return _flipped(verdict) if str(f) == flipped else verdict
 
-    monkeypatch.setattr(classify, "class_exists", flip_one)
+    if target in signature_groups(context):
+        monkeypatch.setattr(classify, "class_exists", flip_one)
+    else:
+        _flip_carried(monkeypatch, lambda members: members == target)
     expected = [{"kind": "existence", "labels": [flipped]}]
     assert custom_catalog(context).discrepancies == expected
     report = oracle_cross_check(context, enumerate_filters(context))
