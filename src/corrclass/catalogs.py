@@ -1,18 +1,19 @@
 """One-call generators for the worked classifications.
 
-Each catalog fixes a property context, decides which labels are realized,
-and returns the nonempty classes together with a view of the labels proved
-empty (within the enumerated scope).  A class's types are its signature
-group; no catalog runs the label-by-label ``type_set`` oracle.
+Each catalog fixes a property context, walks its labels once to decide
+which are realized, and returns the nonempty classes together with the
+minimal masks of the labels proved empty (within the enumerated scope),
+which every writer reads.  A class's types are its signature group; no
+catalog runs the label-by-label ``type_set`` oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from array import array
 from itertools import islice
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 # enumerate_filters is not called here: perfbench/test_perfbench.py checks
 # that the tracer wraps it in this namespace too.
@@ -29,52 +30,28 @@ LABEL_BATCH = 512  # empty labels per chunk of catalog_json
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode  # JSON lines
 
 
-class EmptyLabels:
-    """The labels of a context that no partition realizes, as a sized view
-    that holds no label.
-
-    Each iteration walks the context's labels again
-    (:func:`classify.label_walk`) and yields, in walk order, the minimal
-    mask of each label outside the signature groups: an ``int``, from which
-    ``context.names_of`` names the label and ``poset.up_closure`` rebuilds
-    it.  The length is the count the catalog took while it checked these
-    labels; a view of length 0 walks nothing.
-    """
-
-    __slots__ = ("_context", "_groups", "_count")
-
-    def __init__(self, context: PropertyContext, groups: dict[int, int],
-                 length: int):
-        self._context = context
-        self._groups = groups
-        self._count = length
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[int]:
-        if not self._count:
-            return iter(())
-        groups = self._groups
-        return (mins for members, mins, _, _ in label_walk(self._context)
-                if members not in groups)
-
-
-@dataclass
 class Catalog:
     """The outcome of classifying one property context.
 
-    ``empties`` is an :class:`EmptyLabels` view: its length is the number
-    of empty labels, and each iteration walks them again, so no catalog
-    holds them.
+    ``empties`` holds the minimal mask of each label that no partition
+    realizes, in walk order: ``context.names_of`` names the label from it
+    and ``poset.up_closure`` rebuilds it.
     """
-    kind: str
-    context: PropertyContext
-    classes: list[ClassDescriptor]
-    empties: EmptyLabels
-    exhaustive: bool  # whether every filter of the context was examined
-    # labels on which the algebraic tests and the signature oracle disagree
-    discrepancies: list[dict] = field(default_factory=list)
+
+    __slots__ = ("kind", "context", "classes", "empties", "exhaustive",
+                 "discrepancies")
+
+    def __init__(self, kind: str, context: PropertyContext,
+                 classes: list[ClassDescriptor], empties: Sequence[int],
+                 exhaustive: bool, discrepancies: list[dict]):
+        self.kind = kind
+        self.context = context
+        self.classes = classes
+        self.empties = empties
+        self.exhaustive = exhaustive  # whether every filter was examined
+        # labels on which the algebraic tests and the signature oracle
+        # disagree
+        self.discrepancies = discrepancies
 
     @property
     def lattice(self) -> PartitionLattice:
@@ -114,13 +91,13 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     other in the order in which ``upsets`` emits labels.  Every other
     label is empty: the catalog walks them once (:func:`classify.label_walk`
     refuses a context too large for that before any label is walked) and
-    counts them, except that ``finest`` walks none when its context is too
-    large.  An empty label's group is empty, so its verdict is the class
-    mask it carried from the walk: a label whose mask is 0 agrees with its
-    group and gets no record, and any other gets its
-    :func:`classify.class_exists` record.  :func:`classify.cross_check`
-    holds each class's and each such record's verdict, class mask and
-    witness to its group.
+    keeps each one's minimal mask, in walk order, except that ``finest``
+    walks none when its context is too large.  An empty label's group is
+    empty, so its verdict is the class mask it carried from the walk: a
+    label whose mask is 0 agrees with its group and gets no record, and
+    any other gets its :func:`classify.class_exists` record.
+    :func:`classify.cross_check` holds each class's and each such record's
+    verdict, class mask and witness to its group.
     """
     groups = signature_groups(context)
     if kind == "finest":
@@ -133,19 +110,21 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     exhaustive = kind != "finest" or enumerable(context)
     classes = [describe_class(Filter(context, label), types)
                for label, types in sorted(groups.items(), key=order)]
-    empties = 0
+    # Typecode "I" (4 bytes a label, at most 8 MB under the cap) holds every
+    # minimal mask appended here: a non-chain context is walked only with
+    # <= 21 ideals, a chain has no empty labels, and a non-exhaustive
+    # finest catalog walks nothing.  Widen it if wider contexts are walked.
+    empties = array("I")
     nonzero: list[ClassDescriptor] = []  # of empty labels, mask not 0
     if exhaustive:
         for members, mins, meet, join in label_walk(context):
             if members not in groups:
-                empties += 1
+                empties.append(mins)
                 if meet & ~join:
                     nonzero.append(class_exists(
                         Filter._walked(context, members, mins, meet & ~join)))
     _, discrepancies = cross_check(groups, classes + nonzero)
-    return Catalog(kind, context, classes,
-                   EmptyLabels(context, groups, empties),
-                   exhaustive, discrepancies=discrepancies)
+    return Catalog(kind, context, classes, empties, exhaustive, discrepancies)
 
 
 def catalog_for(kind: str, lattice: PartitionLattice) -> Catalog:

@@ -11,7 +11,6 @@ indices over the partitions; only :mod:`catalogs` makes partitions of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ideals import Ideal, PropertyContext
@@ -136,17 +135,19 @@ def class_mask(f: Filter) -> int:
     return meet_members(f) & ~complement_join_members(f)
 
 
-# Not frozen: a record is built for every label, and describe_class sets
-# its types; a frozen dataclass's __init__ costs about 1 µs more per object.
-@dataclass
 class ClassDescriptor:
     """A label's verdict over the lattice's partition indices: its class
     mask, its witness's index (``None`` if the class is empty) and the
     mask of its types (0 until :func:`describe_class` sets it)."""
-    label: Filter
-    mask: int
-    witness: int | None
-    types: int = 0
+
+    __slots__ = ("label", "mask", "witness", "types")
+
+    def __init__(self, label: Filter, mask: int, witness: int | None,
+                 types: int = 0):
+        self.label = label
+        self.mask = mask
+        self.witness = witness
+        self.types = types
 
     @property
     def exists(self) -> bool:

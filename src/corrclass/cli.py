@@ -142,12 +142,13 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
         return lines, ok
 
     lattice = enumerate_partitions(args.n)
-    # every built-in kind but "full" (added by --exhaustive below); only
-    # the chains exist at n = 1
+    # the kind named by --context, or with "all" every built-in kind but
+    # "full" (added by --exhaustive below) that exists at this n: a named
+    # kind is always built, so its builder refuses an n it has no context for
     contexts = [(kind, build(lattice))
                 for kind, (build, reported) in cat.KINDS.items()
-                if kind != "full" and args.context in ("all", kind)
-                and (args.n >= 2 or reported == "chain")]
+                if args.context == kind or args.context == "all"
+                and kind != "full" and (args.n >= 2 or reported == "chain")]
     universe = (idl.enumerate_ideals(lattice)
                 if args.exhaustive or args.n <= idl.FULL_ENUMERATION_MAX_N
                 else None)

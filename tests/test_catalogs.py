@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corrclass import classify
+from corrclass import catalogs, classify
 from corrclass.catalogs import (KINDS, Catalog, catalog_for, catalog_json,
                                 catalog_jsonl, catalog_text, custom_catalog)
 from corrclass.classify import (ClassDescriptor, Filter, enumerate_filters,
@@ -201,6 +201,8 @@ class TestDispatch:
     if not (n == 1 and kind in ("atoms", "coatoms"))
     and not (n == 5 and kind == "full")])
 def test_empty_labels_view_rewalks(kind, n):
+    # the empties, read twice, are the walk's unrealized labels in walk
+    # order, and none where the catalog is not exhaustive
     cat = catalog_for(kind, enumerate_partitions(n))
     first = [f.members for f in empty_filters(cat)]
     assert [f.members for f in empty_filters(cat)] == first
@@ -211,6 +213,24 @@ def test_empty_labels_view_rewalks(kind, n):
                          if f.members not in groups]
     else:
         assert first == []
+
+
+def test_one_label_walk_per_catalog(monkeypatch, lat4):
+    # atoms at n = 4: the catalog walks its 63 labels once, and every
+    # writer reads the empty labels it kept
+    walks = []
+    walk = catalogs.label_walk
+
+    def counted(context):
+        walks.append(context)
+        return walk(context)
+
+    monkeypatch.setattr(catalogs, "label_walk", counted)
+    cat = catalog_for("atoms", lat4)
+    for writer in (catalog_json, catalog_jsonl, catalog_text):
+        assert "".join(writer(cat))
+    assert walks == [cat.context]
+    assert len(cat.empties) == 56
 
 
 @pytest.mark.parametrize("writer", [catalog_json, catalog_jsonl])

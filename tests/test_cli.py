@@ -246,6 +246,17 @@ class TestClassify:
         assert err == b""
 
 
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses imports inspect, which costs about half the import time
+    probe = ("import sys, corrclass.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 class TestVerify:
     def test_default_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3")
@@ -317,6 +328,22 @@ class TestVerify:
         assert code == EXIT_OK
         assert "PASS oracle.coatoms (127 filters)" in out
         assert "oracle.k_part" not in out
+
+    @pytest.mark.parametrize("kind, error", [
+        ("atoms", "atom context needs n >= 2"),
+        ("coatoms", "coatom context needs n >= 2")])
+    def test_named_context_is_built(self, capsys, kind, error):
+        # as classify does, verify refuses a named kind that has no
+        # context at n = 1; "all" skips those kinds there
+        for command in ("classify", "verify"):
+            code, out, err = run(capsys, command, "--n", "1",
+                                 "--context", kind)
+            assert code == EXIT_INVARIANT
+            assert out == ""
+            assert err == f"error: {error}\n"
+        code, out, _ = run(capsys, "verify", "--n", "1")
+        assert code == EXIT_OK
+        assert "oracle.k_part" in out and kind not in out
 
     def test_venn_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--venn", "--seed", "5",
