@@ -117,12 +117,12 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     empties = array("I")
     nonzero: list[ClassDescriptor] = []  # of empty labels, mask not 0
     if exhaustive:
-        for members, mins, meet, join in label_walk(context):
+        for members, mins, mask in label_walk(context):
             if members not in groups:
                 empties.append(mins)
-                if meet & ~join:
+                if mask:
                     nonzero.append(class_exists(
-                        Filter._walked(context, members, mins, meet & ~join)))
+                        Filter._walked(context, members, mask)))
     _, discrepancies = cross_check(groups, classes + nonzero)
     return Catalog(kind, context, classes, empties, exhaustive, discrepancies)
 
@@ -237,10 +237,11 @@ def catalog_text(catalog: Catalog) -> str:
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
     lines.insert(1, "  ".join("-" * w for w in widths))
+    # a catalog that walked no labels has no count of its empty ones
+    empties = (f"{len(catalog.empties)} empty labels (exhaustive)"
+               if catalog.exhaustive else "empty labels not counted")
     header = (f"{catalog.kind} classification, n={catalog.lattice.n}: "
-              f"{len(catalog.classes)} classes, "
-              f"{len(catalog.empties)} empty labels"
-              f"{' (exhaustive)' if catalog.exhaustive else ''}")
+              f"{len(catalog.classes)} classes, {empties}")
     return "\n".join([header, ""] + lines)
 
 

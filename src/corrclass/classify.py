@@ -20,13 +20,14 @@ EXHAUSTIVE_CONTEXT_MAX = 21  # ideals; a non-chain context has up to 2^21 labels
 
 
 class Filter:
-    """A nonempty up-closed set of context ideals: a class label.
+    """A nonempty up-closed set of context ideals: a class label, with its
+    class mask (:func:`class_mask`).
 
-    A label from :func:`enumerate_filters` carries its minimal ideals and
-    its class mask from the walk; any other label computes them on use.
+    A label from :func:`enumerate_filters` takes its class mask from the
+    walk; any other label computes it when it is made.
     """
 
-    __slots__ = ("context", "members", "_mins", "_mask")
+    __slots__ = ("context", "members", "mask")
 
     def __init__(self, context: PropertyContext, members: int):
         if members == 0:
@@ -35,37 +36,31 @@ class Filter:
             raise ValueError("member set is not up-closed in the context")
         self.context = context
         self.members = members
-        self._mins: int | None = None
-        self._mask: int | None = None
+        self.mask = class_mask(self)
 
     @classmethod
-    def _walked(cls, context: PropertyContext, members: int, mins: int,
+    def _walked(cls, context: PropertyContext, members: int,
                 mask: int) -> "Filter":
-        """A label emitted up-closed by the up-set walk, with the minimal
-        mask and class mask the walk carried to it."""
+        """A label emitted up-closed by the up-set walk, with the class
+        mask the walk carried to it."""
         f = object.__new__(cls)
         f.context = context
         f.members = members
-        f._mins = mins
-        f._mask = mask
+        f.mask = mask
         return f
 
     @property
     def complement(self) -> int:
         return self.context.poset.full & ~self.members
 
-    def _minimal_mask(self) -> int:
-        if self._mins is None:
-            return self.context.poset.minimal(self.members)
-        return self._mins
-
     def minimal_ideals(self) -> tuple[Ideal, ...]:
         ideals = self.context.ideals
-        return tuple(ideals[i] for i in bits(self._minimal_mask()))
+        return tuple(ideals[i]
+                     for i in bits(self.context.poset.minimal(self.members)))
 
     def minimal_names(self) -> list[str]:
         """Display names of the minimal ideals, from the context's names."""
-        return self.context.names_of(self._minimal_mask())
+        return self.context.names_of(self.context.poset.minimal(self.members))
 
     def __len__(self) -> int:
         return self.members.bit_count()
@@ -128,10 +123,9 @@ def class_mask(f: Filter) -> int:
     """Partition mask of the class: the filter meet minus the complement join.
 
     The class exists iff the mask is nonzero, and two labels carve out the
-    same class iff their masks are equal.  A label from the walk carries it.
+    same class iff their masks are equal.  Computed from scratch: the
+    reference for the mask the walk carries to each label.
     """
-    if f._mask is not None:
-        return f._mask
     return meet_members(f) & ~complement_join_members(f)
 
 
@@ -159,7 +153,7 @@ def class_exists(f: Filter) -> ClassDescriptor:
     mask must not be empty.  The witness is the refinement-minimal
     partition of the class mask, tie-broken by enumeration order.
     """
-    mask = class_mask(f)
+    mask = f.mask
     if not mask:
         return ClassDescriptor(f, 0, None)
     minimal = f.context.lattice.poset.minimal(mask)
@@ -233,26 +227,30 @@ def enumerable(context: PropertyContext) -> bool:
     return len(context) <= EXHAUSTIVE_CONTEXT_MAX or context.is_chain()
 
 
-def label_walk(context: PropertyContext
-               ) -> Iterator[tuple[int, int, int, int]]:
-    """The walk over every label of the context, in :meth:`Poset.upsets`
-    order, as ``(members, minimal mask, filter meet, complement join)``;
-    the class mask is ``meet & ~join``.  Refuses a context too large to
-    enumerate before any label is walked."""
+def check_enumerable(context: PropertyContext,
+                     subject: str = "the context") -> None:
+    """Refuse, naming ``subject``, a context too large to enumerate."""
     if not enumerable(context):
         raise CapExceeded(
-            f"the context has {len(context)} ideals; exhaustive filter"
+            f"{subject} has {len(context)} ideals; exhaustive filter"
             f" enumeration is limited to contexts of size"
             f" <= {EXHAUSTIVE_CONTEXT_MAX}")
+
+
+def label_walk(context: PropertyContext) -> Iterator[tuple[int, int, int]]:
+    """The walk over every label of the context, in :meth:`Poset.upsets`
+    order, as ``(members, minimal mask, class mask)``.  Refuses a context
+    too large to enumerate before any label is walked."""
+    check_enumerable(context)
     weights = [ideal.members for ideal in context.ideals]
     return context.poset.weighted_upsets(weights, context.lattice.full_mask)
 
 
 def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
     """Stream every filter of the context in :meth:`Poset.upsets` order,
-    each with the minimal mask and class mask carried by the walk."""
-    for members, mins, meet, join in label_walk(context):
-        yield Filter._walked(context, members, mins, meet & ~join)
+    each with the class mask carried by the walk."""
+    for members, _, mask in label_walk(context):
+        yield Filter._walked(context, members, mask)
 
 
 def lemma_principal_check(f: Filter,

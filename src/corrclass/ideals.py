@@ -171,7 +171,7 @@ def principal_meet_check(lattice: PartitionLattice) -> dict:
     poset = lattice.poset
     below = [principal_ideal(lattice, i).members for i in range(len(lattice))]
     top = lattice.top_index
-    coatom_mask = poset.coatoms()
+    coatom_mask = poset.maximal(lattice.full_mask & ~(1 << top))
     coatoms = list(bits(coatom_mask))
     not_coatomistic = []
     for j, mask in enumerate(below):
@@ -287,18 +287,20 @@ def k_producibility_context(lattice: PartitionLattice) -> PropertyContext:
 
 
 def atom_context(lattice: PartitionLattice) -> PropertyContext:
-    """Principal ideals of the partitions with n-1 parts."""
+    """Principal ideals of the atoms, the partitions with n-1 parts."""
     if lattice.n < 2:
         raise ValueError("atom context needs n >= 2")
-    idxs = sorted(bits(lattice.poset.atoms()))
+    idxs = bits(lattice.poset.minimal(
+        lattice.full_mask & ~(1 << lattice.bottom_index)))
     return PropertyContext(lattice, [principal_ideal(lattice, i)
                                      for i in idxs])
 
 
 def coatom_context(lattice: PartitionLattice) -> PropertyContext:
-    """Principal ideals of the bipartitions."""
+    """Principal ideals of the coatoms, the bipartitions."""
     if lattice.n < 2:
         raise ValueError("coatom context needs n >= 2")
-    idxs = sorted(bits(lattice.poset.coatoms()))
+    idxs = bits(lattice.poset.maximal(
+        lattice.full_mask & ~(1 << lattice.top_index)))
     return PropertyContext(lattice, [principal_ideal(lattice, i)
                                      for i in idxs])

@@ -14,10 +14,6 @@ class OrderViolation(ValueError):
     """The supplied relation is not a partial order."""
 
 
-class MissingExtremum(ValueError):
-    """The poset lacks the bottom or top element the operation needs."""
-
-
 class CapExceeded(RuntimeError):
     """An enumeration exceeded its configured cap."""
 
@@ -222,68 +218,32 @@ class Poset:
             return None
         return g
 
-    def bottom(self) -> int | None:
-        b = self.minimal(self.full)
-        if b.bit_count() == 1:
-            return b.bit_length() - 1
-        return None
-
-    def top(self) -> int | None:
-        t = self.maximal(self.full)
-        if t.bit_count() == 1:
-            return t.bit_length() - 1
-        return None
-
-    def atoms(self) -> int:
-        """Elements covering the bottom element only."""
-        b = self.bottom()
-        if b is None:
-            raise MissingExtremum("poset has no bottom element")
-        out = 0
-        for x in range(self.m):
-            if x != b and self.below[x] == (1 << b) | (1 << x):
-                out |= 1 << x
-        return out
-
-    def coatoms(self) -> int:
-        """Elements covered by the top element only."""
-        t = self.top()
-        if t is None:
-            raise MissingExtremum("poset has no top element")
-        out = 0
-        for x in range(self.m):
-            if x != t and self.above[x] == (1 << t) | (1 << x):
-                out |= 1 << x
-        return out
-
     def linear_extension(self) -> list[int]:
         """A fixed linear extension: by size of the lower set, index-tied."""
         return sorted(range(self.m), key=lambda i: (self.below[i].bit_count(), i))
 
-    def downsets(self, include_empty: bool = False) -> Iterator[int]:
-        """Stream all down-sets, in a deterministic order."""
-        for q, *_ in self._closed_sets(self.below, self.linear_extension(),
-                                       include_empty):
+    def downsets(self) -> Iterator[int]:
+        """Stream all nonempty down-sets, in a deterministic order."""
+        for q, *_ in self._closed_sets(self.below, self.linear_extension()):
             yield q
 
-    def upsets(self, include_empty: bool = False) -> Iterator[int]:
-        """Stream all up-sets; the dual of :meth:`downsets`.
+    def upsets(self) -> Iterator[int]:
+        """Stream all nonempty up-sets; the dual of :meth:`downsets`.
 
         The order is lexicographic over membership of the elements taken in
-        :meth:`upset_order`, absent before present.
+        :meth:`upset_order`, absent before present; the empty up-set, left
+        out, would come first.
         """
-        for q, *_ in self._closed_sets(self.above, self.upset_order(),
-                                       include_empty):
+        for q, *_ in self._closed_sets(self.above, self.upset_order()):
             yield q
 
     def weighted_upsets(self, weights: Sequence[int],
-                        top: int) -> Iterator[tuple[int, int, int, int]]:
+                        top: int) -> Iterator[tuple[int, int, int]]:
         """The nonempty up-sets U in :meth:`upsets` order, each as
-        ``(U, minimal(U), meet, join)``: ``meet`` is ``top`` ANDed with
-        ``weights[e]`` for every e in U, and ``join`` the OR of
-        ``weights[e]`` for every e outside U."""
-        return self._closed_sets(self.above, self.upset_order(), False,
-                                 weights, top)
+        ``(U, minimal(U), cell)``: ``cell`` is ``top`` ANDed with
+        ``weights[e]`` for every e in U, minus ``weights[e]`` for every e
+        outside U."""
+        return self._closed_sets(self.above, self.upset_order(), weights, top)
 
     def upset_order(self) -> list[int]:
         """The element order of :meth:`upsets`: by size of the upper set,
@@ -291,15 +251,16 @@ class Poset:
         return sorted(range(self.m), key=lambda i: (self.above[i].bit_count(), i))
 
     def _closed_sets(self, rel: list[int], order: list[int],
-                     include_empty: bool, weights: Sequence[int] | None = None,
-                     top: int = 0) -> Iterator[tuple[int, int, int, int]]:
-        """The one walk over the sets closed under ``rel`` (``rel[e]`` is
-        what e forces in), as ``(members, extremal, meet, join)``.
+                     weights: Sequence[int] | None = None,
+                     top: int = 0) -> Iterator[tuple[int, int, int]]:
+        """The one walk over the nonempty sets closed under ``rel``
+        (``rel[e]`` is what e forces in), as ``(members, extremal, cell)``.
 
-        ``extremal`` holds the members no other member forces in, ``meet``
-        is ``top`` ANDed with the members' weights and ``join`` the OR of
-        the non-members' weights.  Each value is updated by one operation
-        per step, so a set costs O(1) big-int operations however large.
+        ``extremal`` holds the members no other member forces in, and
+        ``cell`` is ``top`` ANDed with the members' weights, minus the
+        non-members' weights.  The meet and join behind the cell are each
+        updated by one operation per step, so a set costs O(1) big-int
+        operations however large.
         """
         if weights is None:
             weights = [0] * self.m
@@ -309,7 +270,7 @@ class Poset:
         # follows exclude-branches down to its set and stacks each
         # include-branch it passes, so only include-branches are stacked.
         # The element taken in is extremal in the set: what it forces in
-        # was taken before it.
+        # was taken before it.  The first set reached is the empty one.
         last = len(order)
         stack = [(0, 0, 0, top, 0)]
         while stack:
@@ -323,8 +284,8 @@ class Poset:
                     stack.append((t, acc | bit, ext & ~s | bit,
                                   meet & weights[e], join))
                 join |= weights[e]
-            if acc or include_empty:
-                yield acc, ext, meet, join
+            if acc:
+                yield acc, ext, meet & ~join
 
     def is_chain(self, q: int) -> bool:
         """True iff every pair of elements of q is comparable."""

@@ -122,7 +122,7 @@ def generic_family(p: Poset) -> LabeledFamily:
     up-set; the empty up-set contributes an outside point, so the family
     never covers the universe.
     """
-    upsets = list(p.upsets(include_empty=True))
+    upsets = [0, *p.upsets()]
     assign = [0] * p.m
     for k, u in enumerate(upsets):
         for x in bits(u):

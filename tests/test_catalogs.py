@@ -57,6 +57,13 @@ class TestFinest:
         assert len(cat.classes) == 15
         assert list(cat.empties) == []
 
+    def test_n4_text_counts_no_empty_labels(self, lat4):
+        # the walk that would count the empty labels never ran, so the
+        # header must not claim a count of them
+        header = catalog_text(catalog_for("full", lat4)).split("\n")[0]
+        assert header == ("finest classification, n=4: 15 classes,"
+                          " empty labels not counted")
+
     def test_covers_everything(self, lat3):
         assert covered_mask(catalog_for("full", lat3)) == lat3.full_mask
 

@@ -191,7 +191,9 @@ class TestClassify:
                              "--context", "coatoms")
         assert code == EXIT_CAP
         assert out == ""
-        assert "cap exceeded" in err
+        assert err == ("cap exceeded: the context has 31 ideals; exhaustive"
+                       " filter enumeration is limited to contexts of size"
+                       " <= 21\n")
 
     def test_custom_without_file(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "3",
@@ -315,7 +317,9 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n", "6")
         assert code == EXIT_CAP
         assert out == ""
-        assert err.startswith("cap exceeded: the coatoms context at n=6")
+        assert err == ("cap exceeded: the coatoms context at n=6 has 31"
+                       " ideals; exhaustive filter enumeration is limited to"
+                       " contexts of size <= 21\n")
 
     def test_cap_applies_to_selected_contexts(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6", "--context", "k_part")

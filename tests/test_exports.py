@@ -1,4 +1,5 @@
-"""Every name the package exports is used outside the tests."""
+"""Every name the package exports, and every public ``Poset`` method, is
+used outside the tests."""
 
 import ast
 import re
@@ -26,15 +27,40 @@ def code_references(path):
     return refs
 
 
+def sources_outside_the_tests():
+    """The package's modules but ``__init__``, ``scripts/`` and
+    ``perfbench/``."""
+    return [*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+            *(ROOT / "scripts").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def test_every_export_is_used_outside_the_tests():
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += [*(ROOT / "scripts").glob("*.py"),
-                *(ROOT / "perfbench").glob("*.py")]
-    used = set().union(*map(code_references, sources))
+    used = set().union(*map(code_references, sources_outside_the_tests()))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     unused = sorted(name for name in exported_names() if name not in used
                     and not re.search(rf"\b{name}\b", readme))
     assert unused == []
+
+
+# Poset methods that only the tests call, kept as their independent
+# references: the meet and join of any poset, and a validating constructor
+# from relation pairs.
+POSET_TEST_REFERENCES = {"meet", "join", "from_pairs"}
+
+
+def test_every_public_poset_method_is_called_outside_the_tests():
+    tree = ast.parse((PACKAGE / "poset.py").read_text(encoding="utf-8"))
+    poset = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Poset")
+    public = {node.name for node in poset.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    called = {node.attr for path in sources_outside_the_tests()
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute)}
+    assert POSET_TEST_REFERENCES <= public
+    assert sorted(public - called - POSET_TEST_REFERENCES) == []
 
 
 def test_classify_names_no_partition():

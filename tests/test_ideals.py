@@ -162,10 +162,19 @@ class TestEnumeration:
                 assert ip3.poset.leq(i, j) == b.contains(a)
 
     def test_bounded_lattice(self, ip4):
-        bottom = ip4.poset.atoms()  # raises if no unique bottom
-        assert bottom
-        top_members = max(i.members for i in ip4.ideals)
-        assert top_members == ip4.lattice.full_mask
+        # one bottom ideal, the finest partition alone, and one top ideal,
+        # every partition; each atom adds one three-block partition to it
+        poset, lattice = ip4.poset, ip4.lattice
+        bottom = poset.minimal(poset.full)
+        top = poset.maximal(poset.full)
+        assert bottom.bit_count() == top.bit_count() == 1
+        assert ip4.ideals[bottom.bit_length() - 1].members == (
+            1 << lattice.bottom_index)
+        assert ip4.ideals[top.bit_length() - 1].members == lattice.full_mask
+        atoms = poset.minimal(poset.full & ~bottom)
+        blocks = [sorted(p.parts_count for p in lattice.mask_to_partitions(
+            ip4.ideals[i].members)) for i in bits(atoms)]
+        assert blocks == [[3, 4]] * 6
 
 
 class TestContexts:

@@ -117,14 +117,17 @@ def test_principal_meet_check_matches_quadratic(n):
     lattice = enumerate_partitions(n)
     rep = idl.principal_meet_check(lattice)
     assert rep["ok"] is quadratic_meets_ok(lattice) is True
-    assert rep["coatoms"] == (2 ** (n - 1) - 1 if n > 1 else 0)
+    # the coatoms are the two-block partitions
+    bipartitions = sum(p.parts_count == 2 for p in lattice.partitions)
+    assert rep["coatoms"] == bipartitions == (2 ** (n - 1) - 1 if n > 1 else 0)
 
 
 def coatom_pair_mutations(lattice):
     """Wrong meets, each wrong on some pair that holds a coatom."""
     right = lattice.meet_index
     bottom, top = lattice.bottom_index, lattice.top_index
-    coatom = lattice.poset.coatoms().bit_length() - 1
+    coatom = max(i for i, p in enumerate(lattice.partitions)
+                 if p.parts_count == 2)
     other = next(i for i in range(len(lattice))
                  if not lattice.poset.leq(i, coatom))
 

@@ -117,23 +117,24 @@ class TestLattice:
                 assert lat4.meet_index(i, j) == poset.meet(i, j)
                 assert lat4.index[ps[i].join(ps[j])] == poset.join(i, j)
 
+    # atoms: the minimal partitions above the bottom; coatoms: the maximal
+    # partitions below the top
     def test_atoms_are_n_minus_1_part(self, lat4):
-        atoms = {lat4.partitions[i]
-                 for i in range(len(lat4))
-                 if (lat4.poset.atoms() >> i) & 1}
+        above_bottom = lat4.full_mask & ~(1 << lat4.bottom_index)
+        atoms = set(lat4.mask_to_partitions(lat4.poset.minimal(above_bottom)))
         assert atoms == {p for p in lat4.partitions if p.parts_count == 3}
         assert len(atoms) == 6
 
     def test_coatoms_are_bipartitions(self, lat4):
-        coatoms = {lat4.partitions[i]
-                   for i in range(len(lat4))
-                   if (lat4.poset.coatoms() >> i) & 1}
+        below_top = lat4.full_mask & ~(1 << lat4.top_index)
+        coatoms = set(lat4.mask_to_partitions(lat4.poset.maximal(below_top)))
         assert coatoms == {p for p in lat4.partitions if p.parts_count == 2}
         assert len(coatoms) == 7
 
     def test_atoms_n3(self, lat3):
-        atoms = {str(lat3.partitions[i])
-                 for i in range(len(lat3)) if (lat3.poset.atoms() >> i) & 1}
+        above_bottom = lat3.full_mask & ~(1 << lat3.bottom_index)
+        atoms = set(map(str, lat3.mask_to_partitions(
+            lat3.poset.minimal(above_bottom))))
         assert atoms == {"12|3", "13|2", "1|23"}
 
     def test_deterministic_enumeration(self):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from corrclass.poset import MissingExtremum, OrderViolation, Poset, bits
+from corrclass.poset import OrderViolation, Poset, bits
 
 
 def chain(m):
@@ -129,19 +129,18 @@ class TestMeetJoin:
 
 
 class TestAtomsCoatoms:
+    """Atoms and coatoms as the package takes them: the minimal elements
+    above the bottom and the maximal elements below the top."""
+
     def test_chain(self):
         p = chain(3)
-        assert p.atoms() == mask(1)
-        assert p.coatoms() == mask(1)
+        assert p.minimal(p.full & ~mask(0)) == mask(1)
+        assert p.maximal(p.full & ~mask(2)) == mask(1)
 
     def test_diamond(self):
         p = diamond()
-        assert p.atoms() == mask(1, 2)
-        assert p.coatoms() == mask(1, 2)
-
-    def test_missing_bottom(self):
-        with pytest.raises(MissingExtremum):
-            antichain(2).atoms()
+        assert p.minimal(p.full & ~mask(0)) == mask(1, 2)
+        assert p.maximal(p.full & ~mask(3)) == mask(1, 2)
 
 
 class TestEnumeration:
@@ -151,8 +150,7 @@ class TestEnumeration:
 
     def test_chain_counts(self):
         p = chain(3)
-        assert len(list(p.downsets())) == 3
-        assert len(list(p.downsets(include_empty=True))) == 4
+        assert list(p.downsets()) == [mask(0), mask(0, 1), mask(0, 1, 2)]
 
     def test_antichain_upsets(self):
         p = antichain(3)
@@ -160,16 +158,16 @@ class TestEnumeration:
 
     def test_all_down_closed_unique(self):
         p = diamond()
-        seen = list(p.downsets(include_empty=True))
+        seen = list(p.downsets())
+        assert len(seen) == 5
         assert len(seen) == len(set(seen))
         for q in seen:
             assert p.down_closure(q) == q
 
     def test_dual_count_matches(self):
         p = diamond()
-        assert (len(list(p.downsets(include_empty=True)))
-                == len(list(Poset.from_leq(list(p.above)).upsets(
-                    include_empty=True))))
+        assert (len(list(p.downsets()))
+                == len(list(Poset.from_leq(list(p.above)).upsets())))
 
     def test_deterministic(self):
         p = diamond()
@@ -263,8 +261,9 @@ def test_by_inclusion_rejects_negative_masks():
 
 @given(posets())
 def test_upsets_lexicographic_over_upset_order(p):
+    # the empty up-set, which callers put first, sorts first
     order = p.upset_order()
-    emitted = [[q >> e & 1 for e in order] for q in p.upsets()]
+    emitted = [[q >> e & 1 for e in order] for q in [0, *p.upsets()]]
     assert emitted == sorted(emitted)
 
 
@@ -275,12 +274,12 @@ def test_weighted_upsets_carry_minimal_meet_join(p, data):
     top = 255
     walked = list(p.weighted_upsets(weights, top))
     assert [u for u, *_ in walked] == list(p.upsets())
-    for u, mins, meet, join in walked:
+    for u, mins, cell in walked:
         assert mins == p.minimal(u)
-        expected_meet, expected_join = top, 0
+        meet, join = top, 0
         for e in range(p.m):
             if u >> e & 1:
-                expected_meet &= weights[e]
+                meet &= weights[e]
             else:
-                expected_join |= weights[e]
-        assert (meet, join) == (expected_meet, expected_join)
+                join |= weights[e]
+        assert cell == meet & ~join

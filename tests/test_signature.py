@@ -4,8 +4,9 @@ The antichain-style catalogs decide each label by looking up its signature
 group.  These tests pin the catalog JSON bytes of every built-in kind and
 the ``verify`` and ``jsonl`` outputs, and compare the signature path with
 the old path (``describe_class`` on every filter, kept here only as the
-reference) and with ``type_set``.  The labels' carried minimal ideals and
-class masks are compared with the same values computed from scratch.
+reference) and with ``type_set``.  The minimal ideals and class masks
+that the label walk yields are compared with the same values computed
+from scratch.
 """
 
 import hashlib
@@ -19,17 +20,17 @@ from corrclass import catalogs, classify, ideals
 from corrclass.catalogs import (Catalog, catalog_for, catalog_json,
                                 custom_catalog)
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
-                                class_mask, complement_join_members,
-                                describe_class, enumerate_filters,
-                                meet_members, oracle_cross_check,
-                                signature_groups, type_set)
+                                class_mask, describe_class,
+                                enumerate_filters, label_walk,
+                                oracle_cross_check, signature_groups,
+                                type_set)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.ideals import (PropertyContext, atom_context,
                               ideal_from_generators,
                               k_partitionability_context,
                               k_producibility_context)
 from corrclass.partitions import enumerate_partitions
-from corrclass.poset import Poset, bits
+from corrclass.poset import Poset
 
 # sha256 of `corrclass classify --n N --context KIND --output json` stdout,
 # recorded before the signature path replaced per-label describe_class.
@@ -151,18 +152,17 @@ def _flipped(verdict):
 
 
 def _flip_carried(monkeypatch, flip):
-    """Make the label walk carry a nonempty class mask to each empty label
-    whose member mask satisfies ``flip``, by dropping its complement join:
-    the filter meet left over is never empty (every ideal holds the finest
-    partition).  An empty label's verdict is its carried mask, so this
-    reaches the catalog and, through ``enumerate_filters``, the oracle."""
+    """Make the label walk yield a nonempty class mask, every partition,
+    for each empty label whose member mask satisfies ``flip``.  An empty
+    label's verdict is its carried mask, so this reaches the catalog and,
+    through ``enumerate_filters``, the oracle."""
     walk = Poset.weighted_upsets
 
     def flipped(self, weights, top):
-        for members, mins, meet, join in walk(self, weights, top):
-            if flip(members) and not meet & ~join:
-                join = 0
-            yield members, mins, meet, join
+        for members, mins, mask in walk(self, weights, top):
+            if flip(members) and not mask:
+                mask = top
+            yield members, mins, mask
 
     monkeypatch.setattr(Poset, "weighted_upsets", flipped)
 
@@ -362,16 +362,17 @@ def reference_upsets(poset):
 
 
 def assert_walk_carries(context):
-    """The walked labels come in the reference order, and each carries its
-    minimal ideals and its class mask as computed from scratch."""
-    walked = list(enumerate_filters(context))
-    assert [f.members for f in walked] == list(reference_upsets(context.poset))
-    for f in walked:
-        mins = context.poset.minimal(f.members)
-        assert f.minimal_ideals() == tuple(context.ideals[i]
-                                           for i in bits(mins))
-        assert class_mask(f) == meet_members(f) & ~complement_join_members(f)
-        assert str(f) == str(Filter(context, f.members))
+    """The walk yields the labels in the reference order, each with its
+    minimal ideals and its class mask as computed from scratch, and each
+    walked filter carries that class mask."""
+    walked = list(label_walk(context))
+    filters = list(enumerate_filters(context))
+    assert ([f.members for f in filters] == [u for u, *_ in walked]
+            == list(reference_upsets(context.poset)))
+    for f, (_, mins, mask) in zip(filters, walked):
+        assert mins == context.poset.minimal(f.members)
+        assert context.names_of(mins) == f.minimal_names()
+        assert f.mask == mask == class_mask(f)
 
 
 BUILT_IN_CONTEXTS = {
@@ -410,19 +411,17 @@ def test_classify_runs_no_type_set(monkeypatch, capsys, output):
 
 
 def _corrupt_first_empty(monkeypatch):
-    """Make the label walk carry a nonempty class mask to its first empty
-    label, by dropping that label's complement join (the filter meet left
-    over holds the finest partition)."""
+    """Make the label walk yield a nonempty class mask, every partition,
+    for its first empty label."""
     walk = Poset._closed_sets
 
-    def corrupted(self, rel, order, include_empty, weights=None, top=0):
+    def corrupted(self, rel, order, weights=None, top=0):
         done = weights is None
-        for members, mins, meet, join in walk(self, rel, order,
-                                              include_empty, weights, top):
-            if not done and not meet & ~join:
+        for members, mins, mask in walk(self, rel, order, weights, top):
+            if not done and not mask:
                 done = True
-                join = 0
-            yield members, mins, meet, join
+                mask = top
+            yield members, mins, mask
 
     monkeypatch.setattr(Poset, "_closed_sets", corrupted)
 

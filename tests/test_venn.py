@@ -91,7 +91,7 @@ class TestUpsetLemma:
     def test_generic_realizes_every_upset(self):
         p = diamond()
         fam = generic_family(p)
-        upsets = set(p.upsets(include_empty=True))
+        upsets = {0, *p.upsets()}
         nonempty = {label for label in range(1 << p.m)
                     if fam.intersection_class(label)}
         assert nonempty == upsets
