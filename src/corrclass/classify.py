@@ -103,9 +103,9 @@ def meet_members(f: Filter) -> int:
     """Partition mask of the intersection of the filter's ideals."""
     members = f.members
     out = f.context.lattice.full_mask
-    for i, ideal in enumerate(f.context.ideals):
+    for i, mask in enumerate(f.context.masks):
         if members >> i & 1:
-            out &= ideal.members
+            out &= mask
     return out
 
 
@@ -113,9 +113,9 @@ def complement_join_members(f: Filter) -> int:
     """Partition mask of the union of the complement's ideals (0 if empty)."""
     members = f.members
     out = 0
-    for i, ideal in enumerate(f.context.ideals):
+    for i, mask in enumerate(f.context.masks):
         if not members >> i & 1:
-            out |= ideal.members
+            out |= mask
     return out
 
 
@@ -164,22 +164,33 @@ def type_set(f: Filter) -> int:
     """Brute-force oracle: the mask of the types realizing the class.
 
     A type ζ realizes the class iff every filter ideal contains ζ and no
-    complement ideal does; checked partition by partition, membership by
-    membership.  Reads only the label's members and the context's ideals,
-    never a value carried by the walk, so it stays independent of the
-    class-mask algebra it checks.
+    complement ideal does; checked candidate by candidate, membership by
+    membership.  A realizing type lies in the smallest filter ideal and
+    outside the largest complement ideal, so only those partitions are
+    candidates.  Reads only the label's members and the context's ideal
+    masks, never a value carried by the walk, so it stays independent of
+    the class-mask algebra it checks.
     """
     members = f.members
     member_masks: list[int] = []
     other_masks: list[int] = []
-    for i, ideal in enumerate(f.context.ideals):
+    smallest, smallest_size = 0, -1
+    largest, largest_size = 0, -1
+    for i, mask in enumerate(f.context.masks):
+        size = mask.bit_count()
         if members >> i & 1:
-            member_masks.append(ideal.members)
+            member_masks.append(mask)
+            if smallest_size < 0 or size < smallest_size:
+                smallest, smallest_size = mask, size
         else:
-            other_masks.append(ideal.members)
+            other_masks.append(mask)
+            if size > largest_size:
+                largest, largest_size = mask, size
+    candidates = smallest & ~largest
     out = 0
-    for idx in range(len(f.context.lattice)):
-        bit = 1 << idx
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
         for mask in member_masks:
             if not mask & bit:
                 break
@@ -201,8 +212,8 @@ def signature_groups(context: PropertyContext) -> dict[int, int]:
     labels absent from the map are empty.
     """
     signature = [0] * len(context.lattice)
-    for i, ideal in enumerate(context.ideals):
-        for j in bits(ideal.members):
+    for i, mask in enumerate(context.masks):
+        for j in bits(mask):
             signature[j] |= 1 << i
     groups: dict[int, int] = {}
     for j, sig in enumerate(signature):
@@ -242,8 +253,8 @@ def label_walk(context: PropertyContext) -> Iterator[tuple[int, int, int]]:
     order, as ``(members, minimal mask, class mask)``.  Refuses a context
     too large to enumerate before any label is walked."""
     check_enumerable(context)
-    weights = [ideal.members for ideal in context.ideals]
-    return context.poset.weighted_upsets(weights, context.lattice.full_mask)
+    return context.poset.weighted_upsets(context.masks,
+                                         context.lattice.full_mask)
 
 
 def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
@@ -261,16 +272,25 @@ def lemma_principal_check(f: Filter,
     filter meet must be exactly the filter, the ideals sinking into the
     complement join must be exactly the complement, and (when the full
     ideal universe is supplied) no ideal at all may lie between the two.
+    The filter meet and the complement join are recomputed in one pass
+    over the context's ideal masks.
     """
-    mf = meet_members(f)
-    jc = complement_join_members(f)
+    members = f.members
+    masks = f.context.masks
+    mf = f.context.lattice.full_mask
+    jc = 0
+    for i, mask in enumerate(masks):
+        if members >> i & 1:
+            mf &= mask
+        else:
+            jc |= mask
     exists = mf & ~jc != 0  # the class mask
     up_in_context = 0
     down_in_context = 0
-    for i, ideal in enumerate(f.context.ideals):
-        if mf & ~ideal.members == 0:
+    for i, mask in enumerate(masks):
+        if mf & ~mask == 0:
             up_in_context |= 1 << i
-        if ideal.members & ~jc == 0:
+        if mask & ~jc == 0:
             down_in_context |= 1 << i
     report = {
         "exists": exists,
@@ -278,9 +298,11 @@ def lemma_principal_check(f: Filter,
         "principal_down_matches": down_in_context == f.complement,
     }
     if universe is not None:
-        between = any(
-            mf & ~ideal.members == 0 and ideal.members & ~jc == 0
-            for ideal in universe.ideals)
+        between = False
+        for mask in universe.masks:
+            if mf & ~mask == 0 and mask & ~jc == 0:
+                between = True
+                break
         report["separated_in_universe"] = not between
         report["separation_consistent"] = (not between) == exists
     if exists:

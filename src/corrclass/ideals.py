@@ -209,7 +209,8 @@ def enumerate_ideals(lattice: PartitionLattice) -> PropertyContext:
 class PropertyContext:
     """A chosen sub-poset of ideals with respect to which classes are taken.
 
-    Need not be a lattice; the order is inherited inclusion.
+    Need not be a lattice; the order is inherited inclusion.  ``masks``
+    holds each ideal's member mask, by the ideals' index.
     """
 
     def __init__(self, lattice: PartitionLattice, ideals: list[Ideal]):
@@ -220,12 +221,13 @@ class PropertyContext:
         for ideal in self.ideals:
             if ideal.lattice is not lattice:
                 raise ValueError("ideal from a different lattice")
+        self.masks: tuple[int, ...] = tuple(
+            ideal.members for ideal in self.ideals)
         self.index: dict[int, int] = {
-            ideal.members: i for i, ideal in enumerate(self.ideals)}
+            mask: i for i, mask in enumerate(self.masks)}
         if len(self.index) != len(self.ideals):
             raise ValueError("duplicate ideals in context")
-        self.poset = Poset.by_inclusion(
-            [ideal.members for ideal in self.ideals])
+        self.poset = Poset.by_inclusion(self.masks)
         # byte-to-names table of each run of 8 ideals, built on first use
         self._name_tables: list[tuple[tuple[str, ...], ...] | None] = (
             [None] * -(-len(self.ideals) // 8))

@@ -69,8 +69,8 @@ class Poset:
         With fewer bits than masks (Level I, the ideal universe) both
         relations come from the columns ``holders[q]``, the elements holding
         bit q: i's lower set is what holds no bit masks[i] lacks, its upper
-        set what holds every bit it has.  Otherwise (the contexts) ``below``
-        is built pairwise and transposed.
+        set what holds every bit it has.  Otherwise (the contexts) both are
+        filled pairwise, in one pass over the pairs.
         """
         m = len(masks)
         if len(set(masks)) != m:
@@ -92,9 +92,14 @@ class Poset:
                 below.append(full & ~apart)
                 above.append(up)
         else:
-            below = [sum(1 << j for j, b in enumerate(masks) if not b & ~a)
-                     for a in masks]
-            above = _transpose(below, m)
+            below, above = [], [0] * m
+            for i, a in enumerate(masks):
+                bit, row = 1 << i, 0
+                for j, b in enumerate(masks):
+                    if not b & ~a:
+                        row |= 1 << j
+                        above[j] |= bit
+                below.append(row)
         p = object.__new__(cls)
         p.m, p.below, p.above, p.full = m, below, above, full
         return p

@@ -77,7 +77,9 @@ class LabeledFamily:
         """Points inside every chosen set and outside every other set.
 
         The empty intersection is the whole universe; in particular the
-        all-labels cell needs no outside exclusion.
+        all-labels cell needs no outside exclusion.  Cell by cell, this is
+        the reference for the nonempty cells that :func:`check_lemma_upset`
+        takes from the points' signatures.
         """
         if label < 0 or label >> self.labels.m:
             raise IndexError("label subset has bits outside the label poset")
@@ -92,17 +94,20 @@ class LabeledFamily:
 def check_lemma_upset(fam: LabeledFamily) -> dict:
     """Every nonempty cell must carry an up-closed label.
 
-    When the family covers the universe, the empty label is also ruled
-    out.  Violations are collected, never expected.
+    The nonempty cells are found point-first: a point's signature, the
+    labels whose subset holds it, is the one label whose cell holds the
+    point, so the nonempty labels are the distinct signatures, in
+    ascending order.  When the family covers the universe, the empty label
+    is also ruled out.  Violations are collected, never expected.
     """
+    signature = [0] * fam.universe_size
+    for x, a in enumerate(fam.assign):
+        for point in bits(a):
+            signature[point] |= 1 << x
     violations = []
-    nonempty = []
+    nonempty = sorted(set(signature))
     covering = fam.covering()
-    for label in range(1 << fam.labels.m):
-        points = fam.intersection_class(label)
-        if not points:
-            continue
-        nonempty.append(label)
+    for label in nonempty:
         if not fam.labels.is_up_closed(label):
             violations.append({"label": label, "reason": "not an up-set"})
         if covering and label == 0:

@@ -2,11 +2,15 @@
 
 ``type_set``, ``meet_members`` and ``complement_join_members`` split a
 label's ideals into member and complement masks in one pass over the
-context and test them in plain loops; ``lemma_principal_check`` builds on
-the latter two.  The references below are the same functions written with
-``bits`` walks over the member and complement masks and ``any()`` over the
-ideal tuples, kept here only as references.  Every label must get
-identical results from both.
+context's ``masks`` and test them in plain loops; ``type_set`` tests only
+the partitions of the smallest member ideal outside the largest
+complement ideal.  ``lemma_principal_check`` no longer calls
+``meet_members`` or ``complement_join_members``: it computes the filter
+meet and the complement join itself, in one pass over the same masks.
+The references below are the same functions written with ``bits`` walks
+over the member and complement masks, every partition tested, and
+``any()`` over the ideal tuples, kept here only as references.  Every
+label must get identical results from both.
 """
 
 from functools import lru_cache
@@ -104,6 +108,27 @@ def assert_loops_match(context, universe=None):
                 == reference_complement_join_members(f))
         assert (lemma_principal_check(f, universe)
                 == reference_lemma(f, universe))
+
+
+def assert_masks_are_the_ideals(context):
+    """``masks`` holds each ideal's own member mask, by index."""
+    assert type(context.masks) is tuple
+    assert context.masks == tuple(i.members for i in context.ideals)
+    assert all(mask is ideal.members
+               for mask, ideal in zip(context.masks, context.ideals))
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in BUILT_IN_CONTEXTS
+                                    for n in range(2, 6)
+                                    if kind != "full" or n <= 4])
+def test_masks_built_in(kind, n):
+    assert_masks_are_the_ideals(BUILT_IN_CONTEXTS[kind](_lattice(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_contexts())
+def test_masks_custom(context):
+    assert_masks_are_the_ideals(context)
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in BUILT_IN_CONTEXTS

@@ -3,10 +3,14 @@
 Bell(8) = 4140 partitions.  The budgets are loose on purpose; they fail
 when Level I falls back to a quadratic build (about 25 s at n = 8), or
 when ``verify --n 5`` (every label checked by ``type_set`` and the lemma,
-about 1.2 s) or the atoms catalog at n = 6 (2^15 - 1 labels, about
-0.3 s) grows several times slower.  ``verify --n 8 --context k_prod``
-takes about 0.65 s; the linear call count of its principal-meet check is
-pinned in ``test_pair_masks.py``.
+about 0.6 s), ``verify --n 6 --context atoms`` (2^15 - 1 labels, about
+0.55 s) or the atoms catalog at n = 6 (about 0.3 s) grows several times
+slower.  ``type_set`` tests only its candidate partitions, and the lemma
+no longer calls ``meet_members`` or ``complement_join_members``: it takes
+the filter meet and the complement join in one pass over the context's
+masks.  ``verify --n 8 --context k_prod`` takes about 0.65 s; the linear
+call count of its principal-meet check is pinned in
+``test_pair_masks.py``.
 """
 
 import json
@@ -22,6 +26,7 @@ N = 8
 BELL_8 = 4140
 BUDGET_S = 10
 VERIFY_N5_BUDGET_S = 5
+VERIFY_ATOMS_N6_BUDGET_S = 5
 ATOMS_N6_BUDGET_S = 5
 
 
@@ -85,6 +90,20 @@ def test_verify_n5(capsys):
     assert oracle == [("k_part", "5"), ("k_prod", "5"), ("atoms", "1023"),
                       ("coatoms", "32767")]
     assert elapsed < VERIFY_N5_BUDGET_S
+
+
+def test_verify_atoms_n6(capsys):
+    code, out, elapsed = run_timed(capsys, "verify", "--n", "6",
+                                   "--context", "atoms")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "PASS partition_count (203 partitions)",
+        "PASS chains_part_prod",
+        "PASS principal_ideal_meets",
+        "PASS oracle.atoms (32767 filters)",
+        "PASS lemmas.atoms",
+    ]
+    assert elapsed < VERIFY_ATOMS_N6_BUDGET_S
 
 
 def test_atoms_catalog_n6(capsys):

@@ -108,6 +108,30 @@ class TestUpsetLemma:
         assert fams1[0].assign == fams2[0].assign
 
 
+class TestNonemptyCells:
+    """The cells ``check_lemma_upset`` takes from the points' signatures,
+    against ``intersection_class`` over every label subset."""
+
+    @staticmethod
+    def assert_cells_match(fam):
+        assert check_lemma_upset(fam)["nonempty_labels"] == [
+            label for label in range(1 << fam.labels.m)
+            if fam.intersection_class(label)]
+
+    def test_random_families(self):
+        rng = random.Random(2021)
+        for _ in range(2000):
+            self.assert_cells_match(random_family(rng))
+
+    def test_generic_families(self):
+        for p in three_label_posets():
+            self.assert_cells_match(generic_family(p))
+
+    def test_diamond_and_counterexample(self):
+        self.assert_cells_match(generic_family(diamond()))
+        self.assert_cells_match(counterexample_family())
+
+
 class TestConverseFails:
     def test_counterexample(self):
         fam = counterexample_family()
