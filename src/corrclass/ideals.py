@@ -8,11 +8,18 @@ display names an ideal by its maximal elements, e.g. "↓{12|3, 13|2}".
 from __future__ import annotations
 
 import re
+from typing import Any, Callable, Sequence
 
 from .partitions import Partition, PartitionLattice
 from .poset import CapExceeded, Poset, bits
 
 FULL_ENUMERATION_MAX_N = 4  # down-set counts explode past the 15-element lattice
+
+# What a byte table holds for the ideals of one byte: their masks by
+# ascending index, the AND and the OR of those masks, the smallest and the
+# largest of them (the first such by index); for no ideal, (), the full
+# mask, 0, the full mask and 0.
+MaskEntry = tuple[tuple[int, ...], int, int, int, int]
 
 
 class Ideal:
@@ -231,6 +238,8 @@ class PropertyContext:
         # byte-to-names table of each run of 8 ideals, built on first use
         self._name_tables: list[tuple[tuple[str, ...], ...] | None] = (
             [None] * -(-len(self.ideals) // 8))
+        # byte-to-entry tables of every run, built by the first split
+        self._mask_tables: tuple[tuple[MaskEntry, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -255,12 +264,54 @@ class PropertyContext:
         return out
 
     def _name_table(self, chunk: int) -> tuple[tuple[str, ...], ...]:
-        names = list(map(str, self.ideals[8 * chunk:8 * chunk + 8]))
-        table: list[tuple[str, ...]] = [()]
-        for byte in range(1, 1 << len(names)):
-            high = byte.bit_length() - 1
-            table.append(table[byte ^ (1 << high)] + (names[high],))
-        self._name_tables[chunk] = built = tuple(table)
+        self._name_tables[chunk] = built = _byte_table(
+            list(map(str, self.ideals[8 * chunk:8 * chunk + 8])), (),
+            lambda names, name: names + (name,))
+        return built
+
+    def split(self, members: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                          int, int, int, int]:
+        """The masks of the ideals in ``members`` and of the other ideals,
+        each by ascending index, then the AND of the first and the OR of
+        the second, the smallest of the first and the largest of the
+        second (the first such by index; the full mask and 0 if none).
+
+        Reads ``members`` and the rest 8 ideals at a time from byte tables:
+        one per run of 8 ideals, the runs :meth:`names_of` reads, which
+        maps each byte to the :data:`MaskEntry` of the ideals it holds.
+        The tables are built from ``masks`` alone, all at once, the first
+        time the context is split.
+        """
+        tables = self._mask_tables or self._build_mask_tables()
+        others = self.poset.full & ~members
+        inside: tuple[int, ...] = ()
+        outside: tuple[int, ...] = ()
+        meet = smallest = self.lattice.full_mask
+        join = largest = 0
+        smallest_size, largest_size = len(self.lattice), 0
+        for table in tables:
+            masks, run_meet, _, small, _ = table[members & 255]
+            inside += masks
+            meet &= run_meet
+            size = small.bit_count()
+            if size < smallest_size:
+                smallest, smallest_size = small, size
+            masks, _, run_join, _, large = table[others & 255]
+            outside += masks
+            join |= run_join
+            size = large.bit_count()
+            if size > largest_size:
+                largest, largest_size = large, size
+            members >>= 8
+            others >>= 8
+        return inside, outside, meet, join, smallest, largest
+
+    def _build_mask_tables(self) -> tuple[tuple[MaskEntry, ...], ...]:
+        full = self.lattice.full_mask
+        self._mask_tables = built = tuple(
+            _byte_table(self.masks[start:start + 8], ((), full, 0, full, 0),
+                        _add_mask)
+            for start in range(0, len(self.masks), 8))
         return built
 
     def locate(self, ideal: Ideal) -> int:
@@ -271,6 +322,25 @@ class PropertyContext:
 
     def is_chain(self) -> bool:
         return self.poset.is_chain(self.poset.full)
+
+
+def _byte_table(run: Sequence, empty: Any,
+                add: Callable[[Any, Any], Any]) -> tuple:
+    """For each byte over ``run``, ``add`` folded over its items in
+    ascending order from ``empty``; each entry extends an earlier one."""
+    table = [empty]
+    for byte in range(1, 1 << len(run)):
+        high = byte.bit_length() - 1
+        table.append(add(table[byte ^ (1 << high)], run[high]))
+    return tuple(table)
+
+
+def _add_mask(entry: MaskEntry, mask: int) -> MaskEntry:
+    masks, meet, join, smallest, largest = entry
+    size = mask.bit_count()
+    return (masks + (mask,), meet & mask, join | mask,
+            mask if size < smallest.bit_count() else smallest,
+            mask if size > largest.bit_count() else largest)
 
 
 def full_context(universe: PropertyContext) -> PropertyContext:

@@ -97,19 +97,29 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     The nonempty cells are found point-first: a point's signature, the
     labels whose subset holds it, is the one label whose cell holds the
     point, so the nonempty labels are the distinct signatures, in
-    ascending order.  When the family covers the universe, the empty label
-    is also ruled out.  Violations are collected, never expected.
+    ascending order.  The signatures and the union of the subsets come
+    from one pass over the subsets, and a label is up-closed when it holds
+    everything above each of its labels.  When the family covers the
+    universe, the empty label is also ruled out.  Violations are
+    collected, never expected.
     """
     signature = [0] * fam.universe_size
+    union = 0
     for x, a in enumerate(fam.assign):
-        for point in bits(a):
-            signature[point] |= 1 << x
+        union |= a
+        while a:
+            point = a & -a
+            signature[point.bit_length() - 1] |= 1 << x
+            a ^= point
+    above = fam.labels.above
     violations = []
     nonempty = sorted(set(signature))
-    covering = fam.covering()
+    covering = union == fam.universe
     for label in nonempty:
-        if not fam.labels.is_up_closed(label):
-            violations.append({"label": label, "reason": "not an up-set"})
+        for x, up in enumerate(above):
+            if label >> x & 1 and up & ~label:
+                violations.append({"label": label, "reason": "not an up-set"})
+                break
         if covering and label == 0:
             violations.append({"label": label, "reason": "empty label covers"})
     return {

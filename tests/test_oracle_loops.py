@@ -1,24 +1,30 @@
-"""The per-label oracle and lemma functions against their generator forms.
+"""The per-label oracle and lemma functions against their generator forms,
+and the byte tables they read.
 
-``type_set``, ``meet_members`` and ``complement_join_members`` split a
-label's ideals into member and complement masks in one pass over the
-context's ``masks`` and test them in plain loops; ``type_set`` tests only
-the partitions of the smallest member ideal outside the largest
-complement ideal.  ``lemma_principal_check`` no longer calls
-``meet_members`` or ``complement_join_members``: it computes the filter
-meet and the complement join itself, in one pass over the same masks.
-The references below are the same functions written with ``bits`` walks
-over the member and complement masks, every partition tested, and
-``any()`` over the ideal tuples, kept here only as references.  Every
-label must get identical results from both.
+``type_set`` and ``lemma_principal_check`` take a label's member and
+complement masks from ``PropertyContext.split``, which reads them 8
+ideals at a time from byte tables built from the context's ``masks``,
+with the filter meet, the complement join, the smallest member ideal and
+the largest complement ideal.  ``type_set`` tests only the partitions of
+that smallest ideal outside that largest one, each by every membership.
+The lemma tests each principal identity from its open side: only a
+complement ideal can contain the meet, and only a member ideal can lie
+inside the join.  ``meet_members`` and ``complement_join_members`` split
+the masks in one pass of their own.  The references below are the same
+functions written with ``bits`` walks over the member and complement
+masks, every partition tested, and ``any()`` over the ideal tuples, kept
+here only as references.  Every label must get identical results from
+both, and every table entry must equal the plain loop over its ideals'
+masks.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings
 
 from corrclass import ideals
+from corrclass.cli import EXIT_INVARIANT, main
 from corrclass.classify import (Filter, complement_join_members,
                                 enumerate_filters, lemma_principal_check,
                                 meet_members, type_set)
@@ -142,3 +148,107 @@ def test_loops_match_references_built_in(kind, n):
 @given(custom_contexts())
 def test_loops_match_references_custom(context):
     assert_loops_match(context, _universe(context.lattice.n))
+
+
+def assert_tables_are_the_loops(context):
+    """Each entry of each run's byte table is the plain loop over the
+    masks of the ideals in its byte."""
+    full = context.lattice.full_mask
+    masks = context.masks
+    assert context._mask_tables is None
+    tables = context._build_mask_tables()
+    assert context._mask_tables is tables
+    assert len(tables) == -(-len(masks) // 8)
+    for chunk, table in enumerate(tables):
+        run = masks[8 * chunk:8 * chunk + 8]
+        assert len(table) == 1 << len(run)
+        for byte, (got, meet, join, smallest, largest) in enumerate(table):
+            want = tuple(run[i] for i in bits(byte))
+            sizes = [mask.bit_count() for mask in want]
+            assert got == want
+            assert meet == reduce(int.__and__, want, full)
+            assert join == reduce(int.__or__, want, 0)
+            assert smallest.bit_count() == min(sizes,
+                                               default=full.bit_count())
+            assert largest.bit_count() == max(sizes, default=0)
+            assert smallest in want or not want
+            assert largest in want or not want
+
+
+def assert_split_is_the_loop(context):
+    """``split`` of every label is the plain loop over ``masks``."""
+    for f in enumerate_filters(context):
+        inside = tuple(context.masks[i] for i in bits(f.members))
+        outside = tuple(context.masks[i] for i in bits(f.complement))
+        got = context.split(f.members)
+        assert got[:4] == (inside, outside, reference_meet_members(f),
+                           reference_complement_join_members(f))
+        assert got[4] in inside and got[5] in outside + (0,)
+        assert got[4].bit_count() == min(m.bit_count() for m in inside)
+        assert got[5].bit_count() == max((m.bit_count() for m in outside),
+                                         default=0)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in BUILT_IN_CONTEXTS
+                                    for n in range(2, 6)
+                                    if kind != "full" or n <= 4])
+def test_tables_built_in(kind, n):
+    assert_tables_are_the_loops(BUILT_IN_CONTEXTS[kind](_lattice(n)))
+
+
+def test_tables_atoms_n7():
+    """21 ideals: two full runs and a last run of 5, checked entry by
+    entry without walking any label."""
+    context = ideals.atom_context(_lattice(7))
+    assert len(context) == 21
+    assert_tables_are_the_loops(context)
+    assert [len(t) for t in context._mask_tables] == [256, 256, 32]
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_contexts())
+def test_tables_custom(context):
+    assert_tables_are_the_loops(context)
+    assert_split_is_the_loop(context)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in BUILT_IN_CONTEXTS
+                                    for n in range(2, 5)
+                                    if kind != "full" or n <= 3])
+def test_split_built_in(kind, n):
+    assert_split_is_the_loop(BUILT_IN_CONTEXTS[kind](_lattice(n)))
+
+
+def test_corrupt_table_entry_fails_verify(monkeypatch, capsys):
+    """The signature groups catch an oracle that reads a wrong table: the
+    entry of the first ideal alone is replaced by the empty byte's."""
+    build = ideals.PropertyContext._build_mask_tables
+
+    def corrupted(context):
+        first, *rest = build(context)
+        context._mask_tables = ((first[0], first[0], *first[2:]), *rest)
+        return context._mask_tables
+
+    monkeypatch.setattr(ideals.PropertyContext, "_build_mask_tables",
+                        corrupted)
+    code = main(["verify", "--n", "4", "--context", "atoms"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_INVARIANT
+    assert "FAIL oracle.atoms (63 filters)" in lines
+
+
+def test_verify_builds_tables_once_per_context(monkeypatch, capsys):
+    """``verify --n 4`` splits the labels of four contexts (k_part,
+    k_prod, atoms, coatoms); the ideal universe is scanned, never split."""
+    build = ideals.PropertyContext._build_mask_tables
+    built = []
+
+    def counted(context):
+        built.append(context)
+        return build(context)
+
+    monkeypatch.setattr(ideals.PropertyContext, "_build_mask_tables",
+                        counted)
+    assert main(["verify", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(set(map(id, built))) == 4

@@ -142,6 +142,15 @@ def test_atoms_n6_streams_in_bounded_memory():
     assert peak < length / 4
 
 
+def test_atoms_n6_catalog_builds_no_mask_tables():
+    """A catalog runs no ``type_set`` and no lemma, so its context builds
+    none of the byte tables they read (``PropertyContext.split``)."""
+    catalog = catalog_for("atoms", enumerate_partitions(6))
+    for _ in catalog_json(catalog):
+        pass
+    assert catalog.context._mask_tables is None
+
+
 def test_jsonl_yields_a_line_per_descriptor_consumed(ip3):
     consumed = []
 
