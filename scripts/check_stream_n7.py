@@ -9,8 +9,9 @@ same with ``--output jsonl``, one child process each (2^21 - 1 labels;
 441 MB and 653 MB of stdout).  Each child's stdout is hashed as it
 arrives, so this script never holds it.  Checks each run's exit code,
 stdout sha256, peak RSS (the child's own ``ru_maxrss``, from
-``os.wait4``) and wall time; prints one line per run and exits 1 if any
-check fails.  Stdlib only; pytest does not collect it.
+``os.wait4``) and wall time; prints one line per run, then the ratio of
+the JSONL wall time to the JSON one, and exits 1 if any check fails.
+Stdlib only; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ MAX_WALL_S = 90
 BLOCK = 1 << 20
 
 
-def run(output: str) -> list[str]:
-    """Run one output format; return the checks it fails."""
+def run(output: str) -> tuple[list[str], float]:
+    """Run one output format; return the checks it fails and its wall
+    time in seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -65,11 +67,16 @@ def run(output: str) -> list[str]:
         problems.append(f"peak RSS {rss_mb:.0f} MB > {MAX_RSS_MB} MB")
     if wall_s > MAX_WALL_S:
         problems.append(f"wall time {wall_s:.1f} s > {MAX_WALL_S} s")
-    return [f"--output {output}: {p}" for p in problems]
+    return [f"--output {output}: {p}" for p in problems], wall_s
 
 
 def main() -> int:
-    problems = [p for output in EXPECTED_SHA256 for p in run(output)]
+    problems = []
+    wall_s = {}
+    for output in EXPECTED_SHA256:
+        failed, wall_s[output] = run(output)
+        problems += failed
+    print(f"jsonl/json wall time: {wall_s['jsonl'] / wall_s['json']:.2f}")
     for p in problems:
         print(f"FAIL {p}", file=sys.stderr)
     return 1 if problems else 0

@@ -20,13 +20,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .classify import (ClassDescriptor, Filter, class_exists, cross_check,
                        describe_class, enumerable, enumerate_filters,
                        label_name, label_walk, signature_groups)
-from .ideals import (PropertyContext, atom_context, coatom_context,
-                     enumerate_ideals, k_partitionability_context,
-                     k_producibility_context)
+from .ideals import (PropertyContext, _byte_table, atom_context,
+                     coatom_context, enumerate_ideals,
+                     k_partitionability_context, k_producibility_context)
 from .partitions import (Partition, PartitionLattice, shape_string,
                          state_shape)
 
-LABEL_BATCH = 512  # empty labels per chunk of catalog_json
+LABEL_BATCH = 512  # empty labels per chunk of catalog_json and catalog_jsonl
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode  # JSON lines
 
 
@@ -142,14 +142,36 @@ def custom_catalog(context: PropertyContext) -> Catalog:
                               context)
 
 
+def _escaped_names(context: PropertyContext,
+                   masks: Iterable[int]) -> Iterator[list[str]]:
+    """For each mask, its ideals' names as ``encode_basestring`` writes
+    them between the quotes, by ascending index.
+
+    Reads each mask 8 bits at a time, over the runs of 8 ideals that
+    ``names_of`` reads, from tables that map a byte to its ideals' escaped
+    names.  The tables are built once, when the first mask is asked for,
+    and belong to this generator alone.
+    """
+    names = [encode_basestring(str(ideal))[1:-1] for ideal in context.ideals]
+    tables = [_byte_table(names[start:start + 8], (),
+                          lambda run, name: run + (name,))
+              for start in range(0, len(names), 8)]
+    for mask in masks:
+        out: list[str] = []
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        yield out
+
+
 def catalog_json(catalog: Catalog) -> Iterator[str]:
     """The catalog as indented JSON, in chunks whose concatenation is
     ``json.dumps(document, ensure_ascii=False, indent=2)``.
 
     Everything but the empty labels is one ``json.dumps`` call.  The empty
     labels, up to 2^21 of them, follow ``LABEL_BATCH`` to a chunk, each
-    name encoded by ``encode_basestring`` as ``json.dumps`` encodes it, so
-    the whole document is never held in memory.
+    named from its ideals' escaped names (:func:`_escaped_names`), so the
+    whole document is never held in memory.
     """
     records = []
     for d in catalog.classes:
@@ -174,12 +196,14 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         yield head
         return
     yield head[:-len("[]\n}")]  # reopen the trailing "empty_labels": []
-    labels = iter(catalog.empties)
-    names_of = catalog.context.names_of
+    named = _escaped_names(catalog.context, catalog.empties)
     sep = ",\n    "
     opening = "[\n    "
-    while batch := [encode_basestring(label_name(names_of(mins)))
-                    for mins in islice(labels, LABEL_BATCH)]:
+    # encode_basestring (ensure_ascii=False) escapes character by
+    # character, so a label name encodes as label_name over the escaped
+    # names: "↑{", ", " and "}" need no escaping.
+    while batch := ['"' + label_name(names) + '"'
+                    for names in islice(named, LABEL_BATCH)]:
         yield opening + sep.join(batch)
         opening = sep
     yield "\n  ]\n}"
@@ -212,15 +236,31 @@ def class_report_jsonl(
 
 
 def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
-    """The catalog as JSON lines: each class, then each empty label.  An
-    empty label's record is its signature group's, which is empty: its
+    """The catalog as JSON lines: each class, then each empty label.
+
+    An empty label's record is its signature group's, which is empty: its
     names, no witness and no types.  The catalog held the label's verdict
     to that group, so the record is written from the label's minimal mask
-    alone."""
+    alone: its escaped names (:func:`_escaped_names`) go into a template
+    cut from :func:`_record`'s own encoding, one form for a label of one
+    name (its ``canonical_generator``) and one for several (``null``).
+    The empty lines follow ``LABEL_BATCH`` to a chunk.
+    """
     yield from class_report_jsonl(catalog.classes)
-    names_of = catalog.context.names_of
-    for mins in catalog.empties:
-        yield _encode_line(_record(names_of(mins), False, None, [])) + "\n"
+    if not catalog.empties:
+        return
+    # "@" encodes as itself and is in no key, so each cut is at a name
+    head, middle, tail = _encode_line(
+        _record(["@"], False, None, [])).split("@")
+    many_head, sep, many_tail = _encode_line(
+        _record(["@", "@"], False, None, [])).split("@")
+    tail += "\n"
+    many_tail += "\n"
+    named = _escaped_names(catalog.context, catalog.empties)
+    while batch := [many_head + sep.join(names) + many_tail if len(names) > 1
+                    else head + names[0] + middle + names[0] + tail
+                    for names in islice(named, LABEL_BATCH)]:
+        yield "".join(batch)
 
 
 def catalog_text(catalog: Catalog) -> str:

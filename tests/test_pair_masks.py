@@ -21,7 +21,7 @@ from corrclass.catalogs import class_record, class_report_jsonl
 from corrclass.classify import Filter, describe_class, enumerate_filters
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.partitions import PartitionLattice, enumerate_partitions
-from corrclass.poset import OrderViolation, Poset
+from corrclass.poset import CapExceeded, OrderViolation, Poset
 from corrclass.venn import LabeledFamily
 
 
@@ -205,8 +205,28 @@ def test_n7_outputs_pinned(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N7_SHA256[args]
 
 
-@pytest.mark.parametrize("kind,n", [("atoms", 4), ("coatoms", 4),
-                                    ("full", 3)])
+# Every built-in catalog at n <= 5 that lists empty labels: chains list
+# none, nor do atoms and coatoms at n = 2, and full at n = 4 walks no
+# labels.
+EMPTY_LABEL_CASES = [("atoms", 3), ("atoms", 4), ("atoms", 5),
+                     ("coatoms", 3), ("coatoms", 4), ("coatoms", 5),
+                     ("full", 3)]
+
+
+def test_empty_label_cases_are_every_such_catalog():
+    found = []
+    for kind in catalogs.KINDS:
+        for n in range(2, 6):
+            try:
+                catalog = catalogs.catalog_for(kind, enumerate_partitions(n))
+            except CapExceeded:
+                continue
+            if catalog.empties:
+                found.append((kind, n))
+    assert sorted(found) == sorted(EMPTY_LABEL_CASES)
+
+
+@pytest.mark.parametrize("kind,n", EMPTY_LABEL_CASES)
 def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
     catalog = catalogs.catalog_for(kind, enumerate_partitions(n))
     assert catalog.empties

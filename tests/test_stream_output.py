@@ -1,9 +1,12 @@
-"""The streamed writers: ``catalog_json`` and ``class_report_jsonl``.
+"""The streamed writers: ``catalog_json``, ``catalog_jsonl`` and
+``class_report_jsonl``.
 
 ``catalog_json`` yields chunks; joined, they must be exactly the
 ``json.dumps(..., ensure_ascii=False, indent=2)`` of the catalog document,
 which the reference below builds from scratch, naming every label through
 its minimal ``Ideal`` objects rather than the context's name tuple.
+``catalog_jsonl``'s empty lines must be exactly ``_encode_line`` of each
+empty label's ``_record``, the encoding its class lines go through.
 """
 
 import hashlib
@@ -16,16 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrclass import catalogs
-from corrclass.catalogs import (catalog_for, catalog_json,
+from corrclass.catalogs import (_encode_line, _record, catalog_for,
+                                catalog_json, catalog_jsonl,
                                 class_report_jsonl, custom_catalog)
 from corrclass.classify import Filter, describe_class, enumerate_filters
-from corrclass.ideals import PropertyContext, ideal_from_generators
+from corrclass.ideals import (PropertyContext, ideal_from_generators,
+                              parse_ideal)
 from corrclass.partitions import enumerate_partitions, state_shape
 from corrclass.poset import bits
 
 # sha256 of `corrclass classify --n 6 --context atoms --output json` stdout
 ATOMS_6_SHA256 = ("bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3f"
                   "b8085a094")
+# the same with --output jsonl, recorded while each line went through
+# _encode_line
+ATOMS_6_JSONL_SHA256 = ("b0e29997a92e91e88b62f89519a70f2d70ed2cf7692940e9bb32"
+                        "90c75b5cb79a")
 
 
 def label_name(f) -> str:
@@ -66,6 +75,14 @@ def reference_json(catalog) -> str:
     }, ensure_ascii=False, indent=2)
 
 
+def reference_jsonl(catalog) -> str:
+    """The class lines, then each empty label's ``_record`` encoded alone."""
+    names_of = catalog.context.names_of
+    return "".join(class_report_jsonl(catalog.classes)) + "".join(
+        _encode_line(_record(names_of(mins), False, None, [])) + "\n"
+        for mins in catalog.empties)
+
+
 @lru_cache(maxsize=None)
 def _lattice(n):
     return enumerate_partitions(n)
@@ -94,6 +111,39 @@ def test_chunks_join_to_json_dumps(context, batch):
         assert "".join(catalog_json(catalog)) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(custom_contexts(), st.integers(1, 5))
+def test_jsonl_empty_lines_match_records(context, batch):
+    catalog = custom_catalog(context)
+    expected = reference_jsonl(catalog)
+    assert "".join(catalog_jsonl(catalog)) == expected
+    with mock.patch.object(catalogs, "LABEL_BATCH", batch):
+        assert "".join(catalog_jsonl(catalog)) == expected
+
+
+def test_names_that_need_escaping():
+    """Ideals b, c, d, bc at n = 3, named with characters that JSON
+    escapes.  The empty labels include ↑{b, c} and the one-name ↑{bc}:
+    the types common to each label's ideals all lie in an ideal outside
+    it."""
+    lattice = _lattice(3)
+    context = PropertyContext(lattice, [
+        parse_ideal(lattice, spec)
+        for spec in ("12|3", "13|2", "1|23", "12|3, 13|2")])
+    names = ['quote " b', "back\\slash c", "new\nline d", "ctrl \x01 ↓ü"]
+    for ideal, name in zip(context.ideals, names):
+        ideal._str = name
+    catalog = custom_catalog(context)
+    labels = {tuple(context.names_of(mins)) for mins in catalog.empties}
+    assert (names[3],) in labels and tuple(names[:2]) in labels
+    assert "".join(catalog_json(catalog)) == reference_json(catalog)
+    text = "".join(catalog_jsonl(catalog))
+    assert text == reference_jsonl(catalog)
+    records = [json.loads(line) for line in text.split("\n")[:-1]]
+    assert {"label": [names[3]], "exists": False, "witness": None,
+            "type_set": [], "canonical_generator": names[3]} in records
+
+
 def test_chain_catalog_has_no_empty_labels():
     catalog = catalog_for("k_part", enumerate_partitions(5))
     assert not catalog.empties
@@ -117,6 +167,15 @@ def test_labels_come_in_bounded_batches():
     assert all(b.count("↑{") <= catalogs.LABEL_BATCH for b in batches)
     assert tail == "\n  ]\n}"
     assert "".join(chunks) == reference_json(catalog)
+    # JSON lines: a chunk per class, then LABEL_BATCH empty lines a chunk
+    chunks = list(catalog_jsonl(catalog))
+    classes = chunks[:len(catalog.classes)]
+    batches = chunks[len(catalog.classes):]
+    assert all(c.count("\n") == 1 for c in classes)
+    assert [b.count("\n") for b in batches] == [
+        min(catalogs.LABEL_BATCH, 1012 - start)
+        for start in range(0, 1012, catalogs.LABEL_BATCH)]
+    assert "".join(chunks) == reference_jsonl(catalog)
 
 
 def test_atoms_n6_streams_in_bounded_memory():
@@ -139,6 +198,25 @@ def test_atoms_n6_streams_in_bounded_memory():
         tracemalloc.stop()
     digest.update(b"\n")  # the CLI ends the document with a newline
     assert digest.hexdigest() == ATOMS_6_SHA256
+    assert peak < length / 4
+
+
+def test_atoms_n6_jsonl_streams_in_bounded_memory():
+    """As the JSON render: the empty lines are written a batch at a time,
+    so the peak stays under a quarter of the 7 MB of lines."""
+    lattice = enumerate_partitions(6)
+    digest = hashlib.sha256()
+    length = 0
+    tracemalloc.start()
+    try:
+        catalog = catalog_for("atoms", lattice)
+        for chunk in catalog_jsonl(catalog):
+            length += len(chunk)
+            digest.update(chunk.encode("utf-8"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == ATOMS_6_JSONL_SHA256
     assert peak < length / 4
 
 
