@@ -4,8 +4,7 @@ classifications, all cross-checked against a brute-force type oracle."""
 
 from .catalogs import Catalog, catalog_for, custom_catalog
 from .classify import (ClassDescriptor, Filter, class_exists, class_mask,
-                       describe_class, enumerate_filters,
-                       lemma_principal_check, make_filter, oracle_cross_check,
+                       describe_class, lemma_principal_check, make_filter,
                        signature_groups, type_set)
 from .ideals import (Ideal, PropertyContext, atom_context,
                      chain_check_part_prod, coatom_context, enumerate_ideals,

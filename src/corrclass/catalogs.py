@@ -83,19 +83,20 @@ KINDS: dict[str, tuple[Callable[[PartitionLattice], PropertyContext], str]] = {
 }
 
 
-def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
+def signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     """Classify a context signature-first: each signature group is a class.
 
     The reported ``kind`` orders the classes: ``finest`` by lowest type
     (one class per partition), ``chain`` by descending label size, any
     other in the order in which ``upsets`` emits labels.  Every other
-    label is empty: the catalog walks them once (:func:`classify.label_walk`
-    refuses a context too large for that before any label is walked) and
-    keeps each one's minimal mask, in walk order, except that ``finest``
-    walks none when its context is too large.  An empty label's group is
-    empty, so its verdict is the class mask it carried from the walk: a
-    label whose mask is 0 agrees with its group and gets no record, and
-    any other gets its :func:`classify.class_exists` record.
+    label is empty: the catalog walks every label once
+    (:func:`classify.label_walk` refuses a context too large for that
+    before any label is walked) and keeps each empty one's minimal mask,
+    in walk order, except that ``finest`` walks none when its context is
+    too large.  Each walked label's class mask is compared with its
+    signature group (empty for an empty label): a label on which they
+    agree gets no record, and any other gets its
+    :func:`classify.class_exists` record from the walked mask.
     :func:`classify.cross_check` holds each class's and each such record's
     verdict, class mask and witness to its group.
     """
@@ -115,15 +116,16 @@ def _signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     # <= 21 ideals, a chain has no empty labels, and a non-exhaustive
     # finest catalog walks nothing.  Widen it if wider contexts are walked.
     empties = array("I")
-    nonzero: list[ClassDescriptor] = []  # of empty labels, mask not 0
+    disagreeing: list[ClassDescriptor] = []  # walked mask is not the group
     if exhaustive:
         for members, mins, mask in label_walk(context):
-            if members not in groups:
+            group = groups.get(members, 0)
+            if not group:
                 empties.append(mins)
-                if mask:
-                    nonzero.append(class_exists(
-                        Filter._walked(context, members, mask)))
-    _, discrepancies = cross_check(groups, classes + nonzero)
+            if mask != group:
+                disagreeing.append(class_exists(
+                    Filter._walked(context, members, mask)))
+    discrepancies = cross_check(groups, classes + disagreeing)
     return Catalog(kind, context, classes, empties, exhaustive, discrepancies)
 
 
@@ -132,14 +134,14 @@ def catalog_for(kind: str, lattice: PartitionLattice) -> Catalog:
     if kind not in KINDS:
         raise ValueError(f"unknown context kind {kind!r}")
     build, reported = KINDS[kind]
-    return _signature_catalog(reported, build(lattice))
+    return signature_catalog(reported, build(lattice))
 
 
 def custom_catalog(context: PropertyContext) -> Catalog:
     """Classify a caller-supplied context exhaustively.  Every filter of a
     chain is principal and realized, so a chain has no empty labels."""
-    return _signature_catalog("chain" if context.is_chain() else "custom",
-                              context)
+    return signature_catalog("chain" if context.is_chain() else "custom",
+                             context)
 
 
 def _escaped_names(context: PropertyContext,

@@ -23,8 +23,8 @@ class Filter:
     """A nonempty up-closed set of context ideals: a class label, with its
     class mask (:func:`class_mask`).
 
-    A label from :func:`enumerate_filters` takes its class mask from the
-    walk; any other label computes it when it is made.
+    A label from the label walk (:meth:`_walked`) takes its class mask
+    from the walk; any other label computes it when it is made.
     """
 
     __slots__ = ("context", "members", "mask")
@@ -160,21 +160,20 @@ def class_exists(f: Filter) -> ClassDescriptor:
     return ClassDescriptor(f, mask, (minimal & -minimal).bit_length() - 1)
 
 
-def type_set(f: Filter) -> int:
-    """Brute-force oracle: the mask of the types realizing the class.
+def type_set(split: tuple) -> int:
+    """Brute-force oracle: the mask of the types realizing a label's class,
+    from the label's ``split`` (:meth:`PropertyContext.split` of its
+    members).
 
     A type ζ realizes the class iff every filter ideal contains ζ and no
     complement ideal does; checked candidate by candidate, membership by
     membership.  A realizing type lies in the smallest filter ideal and
     outside the largest complement ideal, so only those partitions are
-    candidates.  The member and complement masks and those two ideals
-    come from the context's byte tables (:meth:`PropertyContext.split`),
-    about one lookup per 8 ideals.  Reads only the label's members and
-    tables built from the context's ideal masks, never a value carried by
-    the walk, so it stays independent of the class-mask algebra it checks.
+    candidates.  The split is read from tables built from the context's
+    ideal masks, never from a value carried by the walk, so the oracle
+    stays independent of the class-mask algebra it checks.
     """
-    member_masks, other_masks, _, _, smallest, largest = f.context.split(
-        f.members)
+    member_masks, other_masks, _, _, smallest, largest = split
     candidates = smallest & ~largest
     out = 0
     while candidates:
@@ -211,13 +210,11 @@ def signature_groups(context: PropertyContext) -> dict[int, int]:
     return groups
 
 
-def describe_class(f: Filter, types: int | None = None) -> ClassDescriptor:
+def describe_class(f: Filter, types: int) -> ClassDescriptor:
     """The label's :func:`class_exists` record with the type mask ``types``
-    set on it: ``type_set(f)`` by default, and in a catalog the label's
-    signature group (0 if it has none), so ``type_set`` runs only where it
-    is the second oracle, as in ``verify``."""
+    set on it: in a catalog, the label's signature group."""
     d = class_exists(f)
-    d.types = type_set(f) if types is None else types
+    d.types = types
     return d
 
 
@@ -253,22 +250,22 @@ def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
         yield Filter._walked(context, members, mask)
 
 
-def lemma_principal_check(f: Filter,
+def lemma_principal_check(split: tuple,
                           universe: PropertyContext | None = None) -> dict:
-    """Check the principal-label identities for a filter.
+    """Check the principal-label identities for a label, from its
+    ``split`` (:meth:`PropertyContext.split` of its members).
 
     When the class is nonempty: the ideals of the context containing the
     filter meet must be exactly the filter, the ideals sinking into the
     complement join must be exactly the complement, and (when the full
     ideal universe is supplied) no ideal at all may lie between the two.
-    The filter meet and the complement join are recomputed from the
-    context's byte tables (:meth:`PropertyContext.split`).  Every filter
-    ideal contains the meet and every complement ideal lies inside the
-    join, so each identity is tested from its open side only: the first
-    complement ideal containing the meet, or member ideal inside the
-    join, breaks it.
+    The filter meet and the complement join are the split's, recomputed
+    from the context's ideal masks.  Every filter ideal contains the meet
+    and every complement ideal lies inside the join, so each identity is
+    tested from its open side only: the first complement ideal containing
+    the meet, or member ideal inside the join, breaks it.
     """
-    member_masks, other_masks, mf, jc, _, _ = f.context.split(f.members)
+    member_masks, other_masks, mf, jc, _, _ = split
     exists = mf & ~jc != 0  # the class mask
     up_matches = down_matches = True
     for mask in other_masks:
@@ -302,21 +299,19 @@ def lemma_principal_check(f: Filter,
 
 
 def cross_check(groups: dict[int, int],
-                records: Iterable[ClassDescriptor]) -> tuple[int, list[dict]]:
+                records: Iterable[ClassDescriptor]) -> list[dict]:
     """Differential test of the algebraic verdicts against the type oracle.
 
-    ``groups`` are the ``signature_groups`` of the labels' context.  Streams
-    the records once and holds each label to its group (0 if it has none),
-    in this order: the existence verdict, the class mask, the type mask,
-    and the witness, a minimal element of a nonempty group and absent from
-    an empty one.  Groups of distinct labels are disjoint, so equal masks
-    then mean equal classes.  Returns the number of records checked and
-    one ``{"kind": <first failing check>, "labels": [label]}`` per failing
-    label.
+    ``groups`` are the ``signature_groups`` of the labels' context.  Holds
+    each record's label to its group (0 if it has none), in this order:
+    the existence verdict, the class mask, the type mask, and the witness,
+    a minimal element of a nonempty group and absent from an empty one.
+    Groups of distinct labels are disjoint, so equal masks then mean equal
+    classes.  Returns one ``{"kind": <first failing check>, "labels":
+    [label]}`` per failing label.
     """
-    checked = 0
     discrepancies = []
-    for checked, d in enumerate(records, 1):
+    for d in records:
         group = groups.get(d.label.members, 0)
         witness = 0 if d.witness is None else 1 << d.witness
         if d.exists != bool(group):
@@ -331,18 +326,4 @@ def cross_check(groups: dict[int, int],
         else:
             continue
         discrepancies.append({"kind": kind, "labels": [str(d.label)]})
-    return checked, discrepancies
-
-
-def oracle_cross_check(context: PropertyContext,
-                       filters: Iterable[Filter]) -> dict:
-    """:func:`cross_check` of the filters, each with its ``type_set``,
-    consumed once as they stream past."""
-    checked, discrepancies = cross_check(
-        signature_groups(context), map(describe_class, filters))
-    return {
-        "context_size": len(context),
-        "filters_checked": checked,
-        "discrepancies": discrepancies,
-        "ok": not discrepancies,
-    }
+    return discrepancies

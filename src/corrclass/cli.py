@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 
 from . import catalogs as cat
 from . import classify as cf
@@ -67,9 +68,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         labels = [str(i) for i in ip.ideals]
     else:  # "III"
         context = idl.enumerate_ideals(lattice)
-        filters = list(cf.enumerate_filters(context))
-        poset = Poset.by_inclusion([f.members for f in filters])
-        labels = [str(f) for f in filters]
+        walk = list(cf.label_walk(context))
+        poset = Poset.by_inclusion([members for members, _, _ in walk])
+        labels = [cf.label_name(context.names_of(mins))
+                  for _, mins, _ in walk]
 
     if args.output == "dot":
         print(dot_poset(poset, labels, name=f"level_{args.level}_n{args.n}"))
@@ -163,20 +165,22 @@ def _verify_lines(args: argparse.Namespace) -> tuple[list[str], bool]:
 
     record("principal_ideal_meets", idl.principal_meet_check(lattice)["ok"])
 
-    def lemma_checked(filters):
-        """The filters, passed on after each one's lemma check."""
-        nonlocal lemmas_ok
-        for f in filters:
-            lemmas_ok = (cf.lemma_principal_check(f, universe)["ok"]
-                         and lemmas_ok)
-            yield f
-
     for kind, context in contexts:
+        # the catalog that classify prints, each listed label split once
+        # for both the type oracle and the lemma
+        catalog = cat.signature_catalog(cat.KINDS[kind][1], context)
+        up_closure = context.poset.up_closure
+        oracle_ok = not catalog.discrepancies
         lemmas_ok = True
-        rep = cf.oracle_cross_check(
-            context, lemma_checked(cf.enumerate_filters(context)))
-        record(f"oracle.{kind}", rep["ok"],
-               f"{rep['filters_checked']} filters")
+        for members, types in chain(
+                ((d.label.members, d.types) for d in catalog.classes),
+                ((up_closure(mins), 0) for mins in catalog.empties)):
+            split = context.split(members)
+            oracle_ok = cf.type_set(split) == types and oracle_ok
+            lemmas_ok = (cf.lemma_principal_check(split, universe)["ok"]
+                         and lemmas_ok)
+        record(f"oracle.{kind}", oracle_ok,
+               f"{len(catalog.classes) + len(catalog.empties)} filters")
         record(f"lemmas.{kind}", lemmas_ok)
     return lines, ok
 

@@ -2,20 +2,21 @@ import random
 
 import pytest
 
-from corrclass import classify
-from corrclass.catalogs import class_record, class_report_jsonl
+from corrclass import catalogs, classify
+from corrclass.catalogs import (class_record, class_report_jsonl,
+                                custom_catalog)
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 class_mask, complement_join_members,
-                                cross_check,
-                                describe_class, enumerate_filters,
-                                lemma_principal_check, make_filter,
-                                meet_members, oracle_cross_check,
-                                signature_groups, type_set)
+                                cross_check, describe_class,
+                                enumerate_filters, lemma_principal_check,
+                                make_filter, meet_members, signature_groups)
 from corrclass.cli import main
 from corrclass.ideals import (atom_context, full_context,
                               k_partitionability_context, principal_ideal)
 from corrclass.partitions import Partition
 from corrclass.poset import CapExceeded
+
+from test_signature import assert_catalog_meets_oracle, oracle_types
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +24,16 @@ def ctx3(ip3):
     return full_context(ip3)
 
 
-_enumerate_filters = classify.enumerate_filters
+_label_walk = catalogs.label_walk
 
 
 def _full_label_as_first_atom(context):
-    """enumerate_filters, with the full label carrying the first atom
-    label's class mask."""
-    for f in _enumerate_filters(context):
-        if f.members == context.poset.full:
-            f = Filter._walked(context, f.members, Filter(context, 1).mask)
-        yield f
+    """The catalog's label walk, with the full label carrying the first
+    atom label's class mask."""
+    for members, mins, mask in _label_walk(context):
+        if members == context.poset.full:
+            mask = Filter(context, 1).mask
+        yield members, mins, mask
 
 
 def principal_filter(ctx, partition):
@@ -84,14 +85,14 @@ class TestExistence:
         assert verdict.exists
         lattice = ctx3.lattice
         assert lattice.partitions[verdict.witness] == Partition.bottom(3)
-        assert lattice.mask_to_partitions(type_set(f)) == (
+        assert lattice.mask_to_partitions(oracle_types(f)) == (
             Partition.bottom(3),)
 
     def test_principal_filters_realize_their_partition(self, ctx3):
         for i, p in enumerate(ctx3.lattice.partitions):
             f = principal_filter(ctx3, p)
             assert class_exists(f).exists
-            assert type_set(f) == 1 << i
+            assert oracle_types(f) == 1 << i
 
     def test_empty_class(self, ctx3):
         # require top's ideal but exclude some ideal containing top: impossible
@@ -104,17 +105,17 @@ class TestExistence:
         b = principal_ideal(ctx3.lattice, Partition.parse("13|2"))
         g = make_filter(ctx3, [a, b])
         assert not class_exists(g).exists
-        assert type_set(g) == 0
+        assert oracle_types(g) == 0
 
     def test_existence_matches_oracle_everywhere_n3(self, ctx3):
         for f in enumerate_filters(ctx3):
-            assert class_exists(f).exists == bool(type_set(f))
+            assert class_exists(f).exists == bool(oracle_types(f))
 
     def test_witness_is_a_type(self, ctx3):
         for f in enumerate_filters(ctx3):
             verdict = class_exists(f)
             if verdict.exists:
-                assert type_set(f) >> verdict.witness & 1
+                assert oracle_types(f) >> verdict.witness & 1
 
 
 class TestEquality:
@@ -124,13 +125,13 @@ class TestEquality:
 
     def test_matches_oracle_all_pairs_n3(self, ctx3):
         filters = list(enumerate_filters(ctx3))
-        types = {f: type_set(f) for f in filters}
+        types = {f: oracle_types(f) for f in filters}
         for i, a in enumerate(filters):
             for b in filters[i:]:
                 assert (a.mask == b.mask) == (types[a] == types[b])
 
     def test_empty_classes_all_equal(self, ctx3):
-        empty = [f for f in enumerate_filters(ctx3) if not type_set(f)]
+        empty = [f for f in enumerate_filters(ctx3) if not oracle_types(f)]
         assert empty
         for a in empty:
             for b in empty:
@@ -157,43 +158,47 @@ class TestEnumerateFilters:
 class TestPrincipalIdentities:
     def test_all_filters_n3(self, ctx3, ip3):
         for f in enumerate_filters(ctx3):
-            report = lemma_principal_check(f, universe=ip3)
+            report = lemma_principal_check(ctx3.split(f.members),
+                                           universe=ip3)
             assert report["ok"], (str(f), report)
 
     def test_sub_context(self, lat4, ip4):
         ctx = k_partitionability_context(lat4)
         for f in enumerate_filters(ctx):
-            assert lemma_principal_check(f, universe=ip4)["ok"]
+            assert lemma_principal_check(ctx.split(f.members),
+                                         universe=ip4)["ok"]
 
 
 class TestCrossCheck:
     def test_clean_report_n3(self, ctx3):
-        report = oracle_cross_check(ctx3, enumerate_filters(ctx3))
-        assert report["ok"]
-        assert report["filters_checked"] == 20
+        catalog = custom_catalog(ctx3)
+        assert_catalog_meets_oracle(catalog)
+        assert len(catalog.classes) + len(catalog.empties) == 20
 
     def test_shared_class_mask_fails_equality(self, monkeypatch, capsys,
                                               lat3):
         # the all-atoms label (class 1|2|3) is given the mask of the
         # first single-atom label: a nonempty mask, but not its group
-        monkeypatch.setattr(classify, "enumerate_filters",
+        monkeypatch.setattr(catalogs, "label_walk",
                             _full_label_as_first_atom)
         ctx = atom_context(lat3)
-        report = oracle_cross_check(ctx, classify.enumerate_filters(ctx))
-        assert report["discrepancies"] == [
+        assert custom_catalog(ctx).discrepancies == [
             {"kind": "mask", "labels": [str(Filter(ctx, ctx.poset.full))]}]
         assert main(["verify", "--n", "3", "--context", "atoms"]) == 3
         assert "FAIL oracle.atoms" in capsys.readouterr().out
 
-    def test_counts_the_records_it_consumes(self, ctx3):
-        records = [describe_class(f) for f in enumerate_filters(ctx3)]
-        assert cross_check(signature_groups(ctx3), iter(records)) == (20, [])
+    def test_reports_each_failing_record(self, ctx3):
+        records = [describe_class(f, oracle_types(f))
+                   for f in enumerate_filters(ctx3)]
+        assert len(records) == 20
+        assert cross_check(signature_groups(ctx3), iter(records)) == []
         first = records[0]
         flipped = ClassDescriptor(first.label, 0 if first.exists else 1,
                                   first.witness, first.types)
-        assert cross_check(signature_groups(ctx3), [flipped]) == (
-            1, [{"kind": "existence", "labels": [str(flipped.label)]}])
-        assert cross_check(signature_groups(ctx3), []) == (0, [])
+        assert cross_check(signature_groups(ctx3),
+                           iter([first, flipped, first])) == [
+            {"kind": "existence", "labels": [str(flipped.label)]}]
+        assert cross_check(signature_groups(ctx3), []) == []
 
     def test_random_sub_contexts(self, ip4):
         from corrclass.ideals import PropertyContext
@@ -202,18 +207,17 @@ class TestCrossCheck:
             chosen = rng.sample(range(len(ip4.ideals)), rng.randint(1, 6))
             ctx = PropertyContext(ip4.lattice,
                                   [ip4.ideals[i] for i in chosen])
-            report = oracle_cross_check(ctx, enumerate_filters(ctx))
-            assert report["ok"], report["discrepancies"]
+            assert_catalog_meets_oracle(custom_catalog(ctx))
 
 
 class TestDescriptors:
     def test_describe_matches_pieces(self, ctx3):
         f = principal_filter(ctx3, Partition.parse("123"))
-        d = describe_class(f)
+        d = describe_class(f, oracle_types(f))
         assert isinstance(d, ClassDescriptor)
         assert d.mask == meet_members(f) & ~complement_join_members(f)
         assert d.mask == class_exists(f).mask
-        assert d.types == type_set(f)
+        assert d.types == oracle_types(f)
         assert d.types == 1 << ctx3.lattice.index[Partition.parse("123")]
 
     def test_one_record_per_label(self, ctx3):
@@ -222,9 +226,9 @@ class TestDescriptors:
             assert isinstance(verdict, ClassDescriptor)
             assert verdict.label is f
             assert verdict.types == 0
-            d = describe_class(f)
+            d = describe_class(f, oracle_types(f))
             assert (d.label, d.mask, d.witness, d.types) == (
-                verdict.label, verdict.mask, verdict.witness, type_set(f))
+                verdict.label, verdict.mask, verdict.witness, oracle_types(f))
 
     def test_describe_class_sets_types_on_the_verdict(self, monkeypatch,
                                                       ctx3):
@@ -232,8 +236,9 @@ class TestDescriptors:
         verdict = class_exists(f)
         monkeypatch.setattr(classify, "class_exists", lambda g: verdict)
         assert describe_class(f, 0) is verdict
-        assert describe_class(f) is verdict
-        assert verdict.types == type_set(f)
+        assert verdict.types == 0
+        assert describe_class(f, oracle_types(f)) is verdict
+        assert verdict.types == oracle_types(f)
 
     def test_jsonl_describes_each_label_once(self, monkeypatch, capsys):
         # atoms at n = 4: 63 labels, 7 of them classes; an empty label is
@@ -252,7 +257,8 @@ class TestDescriptors:
 
     def test_jsonl_records(self, ctx3):
         import json
-        descriptors = [describe_class(f) for f in enumerate_filters(ctx3)]
+        descriptors = [describe_class(f, oracle_types(f))
+                       for f in enumerate_filters(ctx3)]
         lines = "".join(class_report_jsonl(descriptors)).splitlines()
         assert len(lines) == 20
         rec = json.loads(lines[0])
@@ -261,6 +267,6 @@ class TestDescriptors:
 
     def test_record_canonical_generator(self, ctx3):
         f = principal_filter(ctx3, Partition.parse("12|3"))
-        rec = class_record(describe_class(f))
+        rec = class_record(describe_class(f, oracle_types(f)))
         assert rec["canonical_generator"] == "↓{12|3}"
         assert rec["type_set"] == ["12|3"]

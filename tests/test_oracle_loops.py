@@ -1,11 +1,12 @@
 """The per-label oracle and lemma functions against their generator forms,
 and the byte tables they read.
 
-``type_set`` and ``lemma_principal_check`` take a label's member and
-complement masks from ``PropertyContext.split``, which reads them 8
-ideals at a time from byte tables built from the context's ``masks``,
-with the filter meet, the complement join, the smallest member ideal and
-the largest complement ideal.  ``type_set`` tests only the partitions of
+``type_set`` and ``lemma_principal_check`` take a label's split: its
+member and complement masks from ``PropertyContext.split``, which reads
+them 8 ideals at a time from byte tables built from the context's
+``masks``, with the filter meet, the complement join, the smallest member
+ideal and the largest complement ideal.  ``verify`` splits each label
+once and hands the split to both.  ``type_set`` tests only the partitions of
 that smallest ideal outside that largest one, each by every membership.
 The lemma tests each principal identity from its open side: only a
 complement ideal can contain the meet, and only a member ideal can lie
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 import pytest
 from hypothesis import given, settings
 
-from corrclass import ideals
+from corrclass import classify, ideals
 from corrclass.cli import EXIT_INVARIANT, main
 from corrclass.classify import (Filter, complement_join_members,
                                 enumerate_filters, lemma_principal_check,
@@ -104,15 +105,16 @@ def _universe(n):
 
 def assert_loops_match(context, universe=None):
     """Every label gets the reference results.  Each label is rebuilt with
-    a wrong class mask, which the oracle and the lemma must not read."""
+    a wrong class mask, which none of the functions may read."""
     full = context.lattice.full_mask
     for f in enumerate_filters(context):
         f = Filter._walked(context, f.members, full & ~f.mask)
-        assert type_set(f) == reference_type_set(f)
+        split = context.split(f.members)
+        assert type_set(split) == reference_type_set(f)
         assert meet_members(f) == reference_meet_members(f)
         assert (complement_join_members(f)
                 == reference_complement_join_members(f))
-        assert (lemma_principal_check(f, universe)
+        assert (lemma_principal_check(split, universe)
                 == reference_lemma(f, universe))
 
 
@@ -252,3 +254,26 @@ def test_verify_builds_tables_once_per_context(monkeypatch, capsys):
     assert main(["verify", "--n", "4"]) == 0
     capsys.readouterr()
     assert len(built) == len(set(map(id, built))) == 4
+
+
+def test_verify_splits_each_label_once(monkeypatch, capsys):
+    """``verify --n 4`` lists 4 + 4 + 63 + 127 labels (k_part, k_prod,
+    atoms, coatoms), and hands each one's split to both ``type_set`` and
+    the lemma."""
+    counts = dict.fromkeys(["split", "type_set", "lemma"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ideals.PropertyContext, "split",
+                        counted("split", ideals.PropertyContext.split))
+    monkeypatch.setattr(classify, "type_set",
+                        counted("type_set", classify.type_set))
+    monkeypatch.setattr(classify, "lemma_principal_check",
+                        counted("lemma", classify.lemma_principal_check))
+    assert main(["verify", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert counts == {"split": 198, "type_set": 198, "lemma": 198}

@@ -24,6 +24,8 @@ from corrclass.partitions import PartitionLattice, enumerate_partitions
 from corrclass.poset import CapExceeded, OrderViolation, Poset
 from corrclass.venn import LabeledFamily
 
+from test_signature import oracle_types
+
 
 def refines_relation(lattice):
     """below[i] from the quadratic Partition.refines loop."""
@@ -235,9 +237,10 @@ def test_jsonl_empty_records_match_describe_class(capsys, kind, n):
                for mins in catalog.empties]
     for f in empties:
         assert class_record(describe_class(f, 0)) == class_record(
-            describe_class(f))
+            describe_class(f, oracle_types(f)))
     reference = "".join(class_report_jsonl(
-        catalog.classes + [describe_class(f) for f in empties]))
+        catalog.classes + [describe_class(f, oracle_types(f))
+                           for f in empties]))
     code = main(["classify", "--n", str(n), "--context", kind,
                  "--output", "jsonl"])
     out = capsys.readouterr().out

@@ -2,11 +2,13 @@
 
 The antichain-style catalogs decide each label by looking up its signature
 group.  These tests pin the catalog JSON bytes of every built-in kind and
-the ``verify`` and ``jsonl`` outputs, and compare the signature path with
-the old path (``describe_class`` on every filter, kept here only as the
-reference) and with ``type_set``.  The minimal ideals and class masks
-that the label walk yields are compared with the same values computed
-from scratch.
+the ``verify``, ``jsonl`` and Level III outputs, and compare the
+signature path with the old path (``describe_class`` on every filter with
+its ``type_set``, kept here only as the reference) and with ``type_set``.
+``verify`` holds the catalog that ``classify`` prints to ``type_set``;
+mutants of the walk, the verdicts and the finished catalog must fail it.
+The minimal ideals and class masks that the label walk yields are
+compared with the same values computed from scratch.
 """
 
 import hashlib
@@ -22,8 +24,7 @@ from corrclass.catalogs import (Catalog, catalog_for, catalog_json,
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 class_mask, describe_class,
                                 enumerate_filters, label_walk,
-                                oracle_cross_check, signature_groups,
-                                type_set)
+                                signature_groups, type_set)
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
 from corrclass.ideals import (PropertyContext, atom_context,
                               ideal_from_generators,
@@ -79,6 +80,16 @@ CLI_SHA256 = {
     # recorded before the labels carried their class masks from the walk
     "classify --n 6 --context atoms --output jsonl": "b0e29997a92e91e88b62f89519a70f2d70ed2cf7692940e9bb3290c75b5cb79a",
     "classify --n 6 --context atoms --output text": "ec632a053a5809e4caf82bd7ec6b0731c68d5900acc3aca7151b3b0b5e4ebbfc",
+    # recorded before lattice --level III read the label walk directly
+    "lattice --n 1 --level III --output text": "a9bf14d88337f02570f03fb8e017b670c6ac22299a190f1a176cd0608accd042",
+    "lattice --n 1 --level III --output json": "f17376c29f6fcee2cd87f4f8e8014990f7ad25b22098a4775b75f65d16814250",
+    "lattice --n 1 --level III --output dot": "1dbd7be2203f08c00d7bef4cf4a33bc9329790db1194a065beeb86bb1f573ed8",
+    "lattice --n 2 --level III --output text": "6e2e7b11a71ffa0dc89e34964762d63f46ef1827bab95aebf9173940ce610e72",
+    "lattice --n 2 --level III --output json": "981af9be3ff0fc38f4a6765cf3ddbdc7e4f82e288bbfc6179dc9e930faad7910",
+    "lattice --n 2 --level III --output dot": "cd28f1c088f04446ec26289dc69a473780c7733082455c93f896ebd42912aec2",
+    "lattice --n 3 --level III --output text": "3e76adb37d25235309ee823345f140aa4534d07df692c18fda20cb7b096b4691",
+    "lattice --n 3 --level III --output json": "0ea447dff63c3ccdba2f2ee323265db5121462b055e6ac87f305f8c576c6a478",
+    "lattice --n 3 --level III --output dot": "60c6a62c31052aa3c23fc2e4b777de55f3b7e0dd68e2259b9efbd656856e9db0",
 }
 
 
@@ -90,12 +101,29 @@ def test_cli_outputs_pinned(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_SHA256[args]
 
 
+def oracle_types(f: Filter) -> int:
+    """The label's ``type_set``, from its split."""
+    return type_set(f.context.split(f.members))
+
+
+def assert_catalog_meets_oracle(catalog: Catalog) -> None:
+    """What ``verify`` holds a catalog to: no discrepancy, each class's
+    ``type_set`` equal to its types, and each listed empty label's 0."""
+    context = catalog.context
+    assert catalog.discrepancies == []
+    for d in catalog.classes:
+        assert type_set(context.split(d.label.members)) == d.types
+    for mins in catalog.empties:
+        assert type_set(context.split(context.poset.up_closure(mins))) == 0
+
+
 def reference_catalog(context: PropertyContext) -> Catalog:
-    """The filter-by-filter path: describe_class on every label, each empty
-    label kept as its minimal mask, computed from scratch."""
+    """The filter-by-filter path: describe_class on every label with its
+    type_set, each empty label kept as its minimal mask, computed from
+    scratch."""
     classes, empties = [], []
     for f in enumerate_filters(context):
-        d = describe_class(f)
+        d = describe_class(f, oracle_types(f))
         if d.exists:
             classes.append(d)
         else:
@@ -139,9 +167,10 @@ def test_signature_catalog_matches_reference(context):
     assert list(cat.empties) == ref.empties  # read again, same labels
     assert len(cat.empties) == len(ref.empties)
     assert "".join(catalog_json(cat)) == "".join(catalog_json(ref))
+    assert_catalog_meets_oracle(cat)
     groups = signature_groups(context)
     for f in enumerate_filters(context):
-        assert groups.get(f.members, 0) == type_set(f)
+        assert groups.get(f.members, 0) == oracle_types(f)
 
 
 def _flipped(verdict):
@@ -151,17 +180,18 @@ def _flipped(verdict):
                            verdict.witness, verdict.types)
 
 
-def _flip_carried(monkeypatch, flip):
+def _flip_carried(monkeypatch, flip, realized=False):
     """Make the label walk yield a nonempty class mask, every partition,
-    for each empty label whose member mask satisfies ``flip``.  An empty
-    label's verdict is its carried mask, so this reaches the catalog and,
-    through ``enumerate_filters``, the oracle."""
+    for each empty label whose member mask satisfies ``flip``, or with
+    ``realized`` the class mask 0 for each such realized label.  The
+    catalog holds every carried mask to the label's signature group, so
+    this reaches ``classify`` and, through its catalog, ``verify``."""
     walk = Poset.weighted_upsets
 
     def flipped(self, weights, top):
         for members, mins, mask in walk(self, weights, top):
-            if flip(members) and not mask:
-                mask = top
+            if flip(members) and bool(mask) == realized:
+                mask = 0 if realized else top
             yield members, mins, mask
 
     monkeypatch.setattr(Poset, "weighted_upsets", flipped)
@@ -196,6 +226,68 @@ def test_cli_fails_on_empty_label_disagreement(monkeypatch, capsys):
     assert code == EXIT_INVARIANT
     assert "oracle cross-check FAILED" in captured.err
     assert captured.out == clean
+
+
+def test_realized_label_disagreement_recorded(monkeypatch, capsys, lat4):
+    # each one-atom label is realized; the walk carries it the class mask
+    # 0, while its class record, built from scratch, stays right
+    argv = ["classify", "--n", "4", "--context", "atoms", "--output", "json"]
+    main(argv)
+    clean = capsys.readouterr().out
+    _flip_carried(monkeypatch, lambda members: members.bit_count() == 1,
+                  realized=True)
+    cat = catalog_for("atoms", lat4)
+    assert len(cat.classes) == 7
+    assert sorted(d["labels"] for d in cat.discrepancies) == sorted(
+        [str(d.label)] for d in cat.classes if len(d.label) == 1)
+    assert {d["kind"] for d in cat.discrepancies} == {"existence"}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert "oracle cross-check FAILED" in captured.err
+    assert captured.out == clean
+    assert main(["verify", "--n", "4", "--context", "atoms"]) == EXIT_INVARIANT
+    assert "FAIL oracle.atoms (63 filters)" in capsys.readouterr().out
+
+
+def _mutated_catalog(monkeypatch, mutate):
+    """Make every catalog pass through ``mutate`` after its own
+    cross-check, so only a later check can see the change."""
+    build = catalogs.signature_catalog
+
+    def mutated(kind, context):
+        catalog = build(kind, context)
+        mutate(catalog)
+        return catalog
+
+    monkeypatch.setattr(catalogs, "signature_catalog", mutated)
+
+
+def _drop_a_type(catalog):
+    """The last class record loses its lowest type."""
+    d = catalog.classes[-1]
+    d.types &= d.types - 1
+
+
+def _realized_empty(catalog):
+    """The first listed empty label becomes the first class's label."""
+    poset = catalog.context.poset
+    catalog.empties[0] = poset.minimal(catalog.classes[0].label.members)
+
+
+@pytest.mark.parametrize("kind,mutate", [
+    *((kind, _drop_a_type) for kind in ("k_part", "k_prod", "atoms",
+                                        "coatoms")),
+    ("atoms", _realized_empty), ("coatoms", _realized_empty)])
+def test_verify_checks_the_printed_catalog(monkeypatch, capsys, kind, mutate):
+    assert main(["verify", "--n", "4", "--context", kind]) == EXIT_OK
+    clean = capsys.readouterr().out.splitlines()
+    _mutated_catalog(monkeypatch, mutate)
+    assert main(["verify", "--n", "4", "--context", kind]) == EXIT_INVARIANT
+    lines = capsys.readouterr().out.splitlines()
+    oracle = next(line for line in clean if line.startswith("PASS oracle."))
+    assert lines == [line if line != oracle else "FAIL" + line[4:]
+                     for line in clean]
 
 
 def _flip_singletons(f):
@@ -286,23 +378,21 @@ def test_non_minimal_witness_recorded(monkeypatch, capsys, lat4):
                       != fields(class_exists(f)))
     assert expected
     monkeypatch.setattr(classify, "class_exists", _lowest_index_witness)
-    for discrepancies in (
-            custom_catalog(context).discrepancies,
-            oracle_cross_check(context,
-                               enumerate_filters(context))["discrepancies"]):
-        assert {d["kind"] for d in discrepancies} == {"witness"}
-        assert sorted(d["labels"] for d in discrepancies) == expected
+    discrepancies = custom_catalog(context).discrepancies
+    assert {d["kind"] for d in discrepancies} == {"witness"}
+    assert sorted(d["labels"] for d in discrepancies) == expected
     assert main(["verify", "--n", "4", "--context", "k_prod"]) == EXIT_INVARIANT
     assert "FAIL oracle.k_prod" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flipped", ["↑{↓{12|3}, ↓{13|2}, ↓{1|23}}",
                                      "↑{↓{12|3}, ↓{13|2}}"])
-def test_catalog_and_oracle_record_alike(monkeypatch, lat3, flipped):
+def test_catalog_and_oracle_record_alike(monkeypatch, capsys, lat3, flipped):
     # one realized and one empty label of the non-chain atom context at
-    # n=3; each check path must report its flipped verdict the same way.
-    # A class's verdict is its class_exists record, an empty label's the
-    # class mask the walk carried to it.
+    # n=3; the catalog must report its flipped verdict, and verify, which
+    # checks that catalog, must fail.  A class's verdict is its
+    # class_exists record, an empty label's the class mask the walk
+    # carried to it.
     context = atom_context(lat3)
     target = next(f.members for f in enumerate_filters(context)
                   if str(f) == flipped)
@@ -317,13 +407,13 @@ def test_catalog_and_oracle_record_alike(monkeypatch, lat3, flipped):
         _flip_carried(monkeypatch, lambda members: members == target)
     expected = [{"kind": "existence", "labels": [flipped]}]
     assert custom_catalog(context).discrepancies == expected
-    report = oracle_cross_check(context, enumerate_filters(context))
-    assert report["discrepancies"] == expected
+    assert main(["verify", "--n", "3", "--context", "atoms"]) == EXIT_INVARIANT
+    assert "FAIL oracle.atoms (7 filters)" in capsys.readouterr().out
 
 
-def _first_type_only(f):
+def _first_type_only(split):
     """type_set, cut down to its first type (the witness, for a chain)."""
-    types = type_set(f)
+    types = type_set(split)
     return types & -types
 
 
@@ -332,13 +422,13 @@ def test_type_set_disagreement_recorded(monkeypatch, capsys, lat4):
     # the classes with several types now differ from their groups
     monkeypatch.setattr(classify, "type_set", _first_type_only)
     context = k_partitionability_context(lat4)
-    expected = sorted([str(f)] for f in enumerate_filters(context)
-                      if type_set(f).bit_count() > 1)
+    expected = sorted(str(f) for f in enumerate_filters(context)
+                      if oracle_types(f).bit_count() > 1)
     assert len(expected) == 2
-    discrepancies = oracle_cross_check(
-        context, enumerate_filters(context))["discrepancies"]
-    assert {d["kind"] for d in discrepancies} == {"type_set"}
-    assert sorted(d["labels"] for d in discrepancies) == expected
+    cat = custom_catalog(context)
+    assert cat.discrepancies == []
+    assert sorted(str(d.label) for d in cat.classes if classify.type_set(
+        context.split(d.label.members)) != d.types) == expected
     assert main(["verify", "--n", "4", "--context", "k_part"]) == EXIT_INVARIANT
     assert "FAIL oracle.k_part" in capsys.readouterr().out
 
@@ -400,8 +490,8 @@ def test_walk_carries_custom_labels(context):
 @pytest.mark.parametrize("output", ["json", "jsonl", "text"])
 def test_classify_runs_no_type_set(monkeypatch, capsys, output):
     # catalog classes take their types from their signature groups
-    def refuse(f):
-        raise AssertionError(f"type_set called on {f}")
+    def refuse(split):
+        raise AssertionError(f"type_set called on {split}")
 
     monkeypatch.setattr(classify, "type_set", refuse)
     for kind in BUILT_IN_CONTEXTS:
