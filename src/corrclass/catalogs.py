@@ -35,7 +35,8 @@ class Catalog:
 
     ``empties`` holds the minimal mask of each label that no partition
     realizes, in walk order: ``context.names_of`` names the label from it
-    and ``poset.up_closure`` rebuilds it.
+    and ``poset.up_closure`` rebuilds it, ORing one memoized union of
+    ``above`` rows per nonzero byte of the mask.
     """
 
     __slots__ = ("kind", "context", "classes", "empties", "exhaustive",

@@ -45,7 +45,7 @@ class Poset:
     validates nothing, because inclusion of distinct sets is a partial order.
     """
 
-    __slots__ = ("m", "below", "above", "full")
+    __slots__ = ("m", "below", "above", "full", "_up_rows")
 
     def __init__(self, below: list[int], *, _closed: bool = False):
         self.m = len(below)
@@ -55,6 +55,7 @@ class Poset:
             self._close()
         self._validate()
         self.above = _transpose(self.below, self.m)
+        self._up_rows: dict[int, int] = {}
 
     @classmethod
     def from_leq(cls, below: list[int]) -> "Poset":
@@ -102,6 +103,7 @@ class Poset:
                 below.append(row)
         p = object.__new__(cls)
         p.m, p.below, p.above, p.full = m, below, above, full
+        p._up_rows = {}
         return p
 
     @classmethod
@@ -165,12 +167,37 @@ class Poset:
         return out
 
     def up_closure(self, q: int) -> int:
-        """All elements above some element of q."""
+        """All elements above some element of q.
+
+        Reads q 8 elements at a time: each (run of 8, byte) pair maps to
+        the OR of its elements' ``above`` rows, filled the first time a
+        closure meets it, so a closure costs one lookup per nonzero byte
+        and a large poset holds only the rows its closures touched.  This
+        is how a catalog's listed empty label is rebuilt from its minimal
+        mask.
+        """
         self._check_subset(q)
+        rows = self._up_rows
         out = 0
-        for y in bits(q):
-            out |= self.above[y]
+        key = 0  # the run's index, shifted past the byte
+        while q:
+            byte = q & 255
+            if byte:
+                row = rows.get(key | byte)
+                if row is None:
+                    row = self._up_row(key | byte)
+                out |= row
+            q >>= 8
+            key += 256
         return out
+
+    def _up_row(self, key: int) -> int:
+        start = key >> 8 << 3
+        row = 0
+        for y in bits(key & 255):
+            row |= self.above[start + y]
+        self._up_rows[key] = row
+        return row
 
     def is_up_closed(self, q: int) -> bool:
         return self.up_closure(q) == q

@@ -204,6 +204,39 @@ def test_closure_properties(p, raw):
     assert p.up_closure(up) == up
 
 
+@st.composite
+def wide_posets(draw):
+    """Posets of 1-40 elements, so one run of 8, several, or a partial last
+    run, from each of the three constructors."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    how = draw(st.sampled_from(["pairs", "leq", "inclusion"]))
+    if how == "inclusion":
+        masks = draw(st.lists(st.integers(0, (1 << 12) - 1), min_size=m,
+                              max_size=m, unique=True))
+        return Poset.by_inclusion(masks)
+    # pairs (a, b) with a <= b keep the relation acyclic, so it is an order
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+        .map(sorted), max_size=2 * m))
+    p = Poset.from_pairs(m, pairs)
+    return p if how == "pairs" else Poset.from_leq(p.below)
+
+
+@given(wide_posets(), st.lists(st.integers(min_value=0), min_size=1,
+                               max_size=6))
+def test_up_closure_matches_or_over_members(p, raws):
+    masks = [raw % (p.full + 1) for raw in raws]
+    for q in masks + masks:  # the second pass reads the memo
+        expected = 0
+        for y in bits(q):
+            expected |= p.above[y]
+        assert p.up_closure(q) == expected
+    with pytest.raises(IndexError):
+        p.up_closure(1 << p.m)
+    with pytest.raises(IndexError):
+        p.up_closure(-1)
+
+
 @given(posets())
 def test_meet_is_greatest_lower_bound(p):
     for a in range(p.m):

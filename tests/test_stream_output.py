@@ -23,10 +23,10 @@ from corrclass.catalogs import (_encode_line, _record, catalog_for,
                                 catalog_json, catalog_jsonl,
                                 class_report_jsonl, custom_catalog)
 from corrclass.classify import Filter, describe_class, enumerate_filters
-from corrclass.ideals import (PropertyContext, ideal_from_generators,
-                              parse_ideal)
+from corrclass.ideals import (PropertyContext, enumerate_ideals,
+                              ideal_from_generators, parse_ideal)
 from corrclass.partitions import enumerate_partitions, state_shape
-from corrclass.poset import bits
+from corrclass.poset import Poset, bits
 
 # sha256 of `corrclass classify --n 6 --context atoms --output json` stdout
 ATOMS_6_SHA256 = ("bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3f"
@@ -176,6 +176,20 @@ def test_labels_come_in_bounded_batches():
         min(catalogs.LABEL_BATCH, 1012 - start)
         for start in range(0, 1012, catalogs.LABEL_BATCH)]
     assert "".join(chunks) == reference_jsonl(catalog)
+
+
+def test_full_n4_up_closure_memo_is_sparse(lat4):
+    # the 346-element context's closure memo holds rows only for the bytes
+    # its closures read, not 255 per run of 8 elements
+    context = enumerate_ideals(lat4)
+    assert len(context) == 346
+    with mock.patch.object(Poset, "up_closure", autospec=True,
+                           side_effect=Poset.up_closure) as closures:
+        catalog = catalogs.signature_catalog(catalogs.KINDS["full"][1],
+                                             context)
+    assert catalog.classes and closures.call_count
+    runs = -(-len(context) // 8)
+    assert 0 < len(context.poset._up_rows) <= closures.call_count * runs
 
 
 def test_atoms_n6_streams_in_bounded_memory():

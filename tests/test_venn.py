@@ -3,7 +3,8 @@ import random
 import pytest
 
 from corrclass.poset import Poset
-from corrclass.venn import (EmbeddingViolation, LabeledFamily,
+from corrclass.venn import (RANDOM_MAX_LABELS, RANDOM_MAX_UNIVERSE,
+                            EmbeddingViolation, LabeledFamily,
                             check_lemma_upset, counterexample_family,
                             generic_family, random_family,
                             three_label_posets)
@@ -103,9 +104,26 @@ class TestUpsetLemma:
             assert report["ok"], report["violations"]
 
     def test_random_families_seeded_deterministic(self):
-        fams1 = [random_family(random.Random(3)) for _ in range(1)]
-        fams2 = [random_family(random.Random(3)) for _ in range(1)]
-        assert fams1[0].assign == fams2[0].assign
+        # each seed must draw the families that randint-based drawing drew,
+        # on whichever interpreter runs the test, so a --seed keeps testing
+        # the same families
+        def reference(rng):
+            universe_size = rng.randint(1, RANDOM_MAX_UNIVERSE)
+            label_count = rng.randint(
+                1, min(RANDOM_MAX_LABELS, 1 << universe_size))
+            full = (1 << universe_size) - 1
+            subsets = []
+            while len(subsets) < label_count:
+                s = rng.randint(0, full)
+                if s not in subsets:
+                    subsets.append(s)
+            return universe_size, tuple(subsets)
+
+        for seed in (0, 1, 3, 7, 2021):
+            drawn, expected = random.Random(seed), random.Random(seed)
+            for _ in range(2000):
+                fam = random_family(drawn)
+                assert (fam.universe_size, fam.assign) == reference(expected)
 
 
 class TestNonemptyCells:
