@@ -45,7 +45,7 @@ class Poset:
     validates nothing, because inclusion of distinct sets is a partial order.
     """
 
-    __slots__ = ("m", "below", "above", "full", "_up_rows")
+    __slots__ = ("m", "below", "above", "full", "_up_rows", "_down_rows")
 
     def __init__(self, below: list[int], *, _closed: bool = False):
         self.m = len(below)
@@ -56,6 +56,7 @@ class Poset:
         self._validate()
         self.above = _transpose(self.below, self.m)
         self._up_rows: dict[int, int] = {}
+        self._down_rows: dict[int, int] | None = None  # made on first use
 
     @classmethod
     def from_leq(cls, below: list[int]) -> "Poset":
@@ -70,8 +71,12 @@ class Poset:
         With fewer bits than masks (Level I, the ideal universe) both
         relations come from the columns ``holders[q]``, the elements holding
         bit q: i's lower set is what holds no bit masks[i] lacks, its upper
-        set what holds every bit it has.  Otherwise (the contexts) both are
-        filled pairwise, in one pass over the pairs.
+        set what holds every bit it has.  The columns are read 8 at a time,
+        one run at a time: a run's two byte tables map each byte to what
+        holds none of its columns and to what holds all of them, so an
+        element costs one lookup in each per run, its complement byte in
+        the first and its own byte in the second.  Otherwise (the contexts)
+        both relations are filled pairwise, in one pass over the pairs.
         """
         m = len(masks)
         if len(set(masks)) != m:
@@ -82,16 +87,19 @@ class Poset:
         width = max(masks, default=0).bit_length()
         if width < m:
             holders = _transpose(masks, width)
-            below, above = [], []
-            for a in masks:
-                apart, up = 0, full
-                for q, column in enumerate(holders):
-                    if a >> q & 1:
-                        up &= column
-                    else:
-                        apart |= column
-                below.append(full & ~apart)
-                above.append(up)
+            below, above = [full] * m, [full] * m
+            for start in range(0, width, 8):
+                run = holders[start:start + 8]
+                downs, ups = [full], [full]
+                for byte in range(1, 1 << len(run)):
+                    high = byte.bit_length() - 1
+                    downs.append(downs[byte ^ 1 << high] & ~run[high])
+                    ups.append(ups[byte ^ 1 << high] & run[high])
+                last = len(ups) - 1
+                for i, a in enumerate(masks):
+                    byte = a >> start & last
+                    below[i] &= downs[byte ^ last]
+                    above[i] &= ups[byte]
         else:
             below, above = [], [0] * m
             for i, a in enumerate(masks):
@@ -103,7 +111,7 @@ class Poset:
                 below.append(row)
         p = object.__new__(cls)
         p.m, p.below, p.above, p.full = m, below, above, full
-        p._up_rows = {}
+        p._up_rows, p._down_rows = {}, None
         return p
 
     @classmethod
@@ -159,12 +167,16 @@ class Poset:
         return bool((self.below[b] >> a) & 1)
 
     def down_closure(self, q: int) -> int:
-        """All elements below some element of q (contains q, down-closed)."""
-        self._check_subset(q)
-        out = 0
-        for y in bits(q):
-            out |= self.below[y]
-        return out
+        """All elements below some element of q (contains q, down-closed).
+
+        Reads q as :meth:`up_closure` does, from a memo of ``below``
+        unions; an ``Ideal`` checks its member set with it.  The memo is
+        made by the first down-closure, so a poset that takes none (each
+        of ``verify --venn``'s small ones) costs nothing more to build.
+        """
+        if self._down_rows is None:
+            self._down_rows = {}
+        return self._closure(q, self.below, self._down_rows)
 
     def up_closure(self, q: int) -> int:
         """All elements above some element of q.
@@ -176,8 +188,12 @@ class Poset:
         is how a catalog's listed empty label is rebuilt from its minimal
         mask.
         """
+        return self._closure(q, self.above, self._up_rows)
+
+    def _closure(self, q: int, rel: list[int], rows: dict[int, int]) -> int:
+        """The OR of ``rel[y]`` over the elements y of q, read one byte of
+        q at a time through ``rows``, the memo keyed by (run, byte)."""
         self._check_subset(q)
-        rows = self._up_rows
         out = 0
         key = 0  # the run's index, shifted past the byte
         while q:
@@ -185,19 +201,15 @@ class Poset:
             if byte:
                 row = rows.get(key | byte)
                 if row is None:
-                    row = self._up_row(key | byte)
+                    start = key >> 8 << 3  # the run's first element
+                    row = 0
+                    for y in bits(byte):
+                        row |= rel[start + y]
+                    rows[key | byte] = row
                 out |= row
             q >>= 8
             key += 256
         return out
-
-    def _up_row(self, key: int) -> int:
-        start = key >> 8 << 3
-        row = 0
-        for y in bits(key & 255):
-            row |= self.above[start + y]
-        self._up_rows[key] = row
-        return row
 
     def is_up_closed(self, q: int) -> bool:
         return self.up_closure(q) == q
@@ -328,14 +340,29 @@ class Poset:
         return True
 
     def covers(self) -> list[tuple[int, int]]:
-        """The covering pairs (i, j) with j covering i, sorted."""
+        """The covering pairs (i, j) with j covering i, sorted.
+
+        j's lower covers are the maximal elements strictly below it.  Each
+        is found by a climb from the lowest element left, through what
+        lies above it, to an element with nothing left above it; then
+        everything below that cover is removed.  What is removed lies
+        below a cover, so nothing above a remaining element is ever
+        removed, and a climb's end is a cover.  The work grows with the
+        number of covers, not with the number of comparable pairs.
+        """
         out = []
-        for j in range(self.m):
-            strict = self.below[j] & ~(1 << j)
-            for i in bits(strict):
-                between = strict & self.above[i] & ~(1 << i)
-                if not between:
-                    out.append((i, j))
+        below, above = self.below, self.above
+        for j, lower in enumerate(below):
+            rest = lower ^ 1 << j
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                while True:
+                    higher = above[x] & rest ^ 1 << x
+                    if not higher:
+                        break
+                    x = (higher & -higher).bit_length() - 1
+                out.append((x, j))
+                rest &= ~below[x]
         out.sort()
         return out
 

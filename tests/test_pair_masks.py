@@ -3,11 +3,12 @@
 ``PartitionLattice`` derives its order from pair masks and its meet from
 ``pairs[i] & pairs[j]``.  These tests rebuild the order from
 ``Partition.refines`` and the meet and join from ``Partition.meet`` and
-``Partition.join`` (kept here only as the reference), pin the n = 7 CLI
-outputs recorded before the pair masks, and check that a wrong meet fails
-``verify``.  ``Poset.by_inclusion`` builds every inclusion order without
-``Poset._validate``; the validated path is run here instead, on each such
-order the CLI builds.
+``Partition.join`` (kept here only as the reference), rebuild the pair
+masks label by label, pin the n = 7 CLI outputs recorded before the pair
+masks and the n = 8 ones recorded before the one-walk build, and check
+that a wrong meet fails ``verify``.  ``Poset.by_inclusion`` builds every
+inclusion order without ``Poset._validate``; the validated path is run
+here instead, on each such order the CLI builds, and so are the covers.
 """
 
 import hashlib
@@ -20,11 +21,34 @@ from corrclass import ideals as idl
 from corrclass.catalogs import class_record, class_report_jsonl
 from corrclass.classify import Filter, describe_class, enumerate_filters
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
-from corrclass.partitions import PartitionLattice, enumerate_partitions
-from corrclass.poset import CapExceeded, OrderViolation, Poset
+from corrclass.partitions import (Partition, PartitionLattice, all_partitions,
+                                  bell_number, enumerate_partitions)
+from corrclass.poset import CapExceeded, OrderViolation, Poset, bits
 from corrclass.venn import LabeledFamily
 
+from test_poset import brute_covers
 from test_signature import oracle_types
+
+
+def pair_mask(blocks):
+    """The label pairs sharing a block: bit b(b-1)/2 + a for a < b."""
+    mask = 0
+    for block in blocks:
+        members = list(bits(block))
+        for x, b in enumerate(members):
+            for a in members[:x]:
+                mask |= 1 << (b * (b - 1) // 2 + a)
+    return mask
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_matches_pair_mask_and_validation(n):
+    lattice = enumerate_partitions(n)
+    assert len(lattice) == bell_number(n)
+    assert list(all_partitions(n)) == list(lattice.partitions)
+    for p, pairs in zip(lattice.partitions, lattice.pairs, strict=True):
+        assert Partition(n, p.blocks).blocks == p.blocks
+        assert pairs == pair_mask(p.blocks)
 
 
 def refines_relation(lattice):
@@ -78,6 +102,13 @@ def test_validated_path_agrees(n):
         q = Poset.from_leq(p.below)
         assert q.below == p.below
         assert q.above == p.above
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_covers_match_brute_force(n):
+    # Level I, every built-in context, and the ideal universe to n = 4
+    for p in inclusion_posets(n):
+        assert p.covers() == brute_covers(p)
 
 
 def test_inclusion_orders_are_not_validated(monkeypatch):
@@ -199,12 +230,32 @@ N7_SHA256 = {
 }
 
 
+# The same at n = 8, recorded before Level I was built in one walk and
+# read from byte tables; its 28 pair bits leave the last run of 8 half full.
+N8_SHA256 = {
+    "lattice --n 8 --output dot":
+        "d005aad42a0cf50f80b30024f18d3de038dba2036d50a3818a3dc7c435b9e1b2",
+    "lattice --n 8 --output json":
+        "a96912c2404abd5a51c6341258ebe77179fa256fb52ee30e2db685a671721d01",
+    "classify --n 8 --context k_part --output json":
+        "249282a06df64d23fad5ce74c4507d3144fc86b34c3805d0c9c08cba3d4d2c9f",
+}
+
+
 @pytest.mark.parametrize("args", sorted(N7_SHA256))
 def test_n7_outputs_pinned(capsys, args):
     code = main(args.split())
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N7_SHA256[args]
+
+
+@pytest.mark.parametrize("args", sorted(N8_SHA256))
+def test_n8_outputs_pinned(capsys, args):
+    code = main(args.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N8_SHA256[args]
 
 
 # Every built-in catalog at n <= 5 that lists empty labels: chains list

@@ -237,6 +237,36 @@ def test_up_closure_matches_or_over_members(p, raws):
         p.up_closure(-1)
 
 
+@given(wide_posets(), st.lists(st.integers(min_value=0), min_size=1,
+                               max_size=6))
+def test_down_closure_matches_or_over_members(p, raws):
+    masks = [raw % (p.full + 1) for raw in raws]
+    for q in masks + masks:  # the second pass reads the memo
+        expected = 0
+        for y in bits(q):
+            expected |= p.below[y]
+        assert p.down_closure(q) == expected
+    with pytest.raises(IndexError):
+        p.down_closure(1 << p.m)
+    with pytest.raises(IndexError):
+        p.down_closure(-1)
+
+
+def brute_covers(p):
+    """The pairs i < j with nothing strictly between, from the relation
+    masks alone."""
+    return sorted((i, j) for j in range(p.m) for i in range(p.m)
+                  if i != j and p.below[j] >> i & 1
+                  and not p.below[j] & p.above[i] & ~(1 << i | 1 << j))
+
+
+@given(wide_posets())
+@example(Poset.from_pairs(1, []))
+@example(Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+def test_covers_match_brute_force(p):
+    assert p.covers() == brute_covers(p)
+
+
 @given(posets())
 def test_meet_is_greatest_lower_bound(p):
     for a in range(p.m):
@@ -262,12 +292,30 @@ def test_principal_closure_intersection_is_meet(p):
                     == p.down_closure(1 << g))
 
 
-# Up to 12 masks of up to 6 bits: both sides of by_inclusion's choice
-# between column masks (fewer bits than masks) and the pairwise loop, each
-# also pinned by an example.
-@given(st.lists(st.integers(0, 63), min_size=1, max_size=12, unique=True))
+@st.composite
+def narrow_masks(draw):
+    """More distinct masks than bits, the widest of exactly ``width`` bits,
+    so :meth:`Poset.by_inclusion` reads holder columns: widths 1-20 hold
+    a lone column, whole runs of 8 and partial last runs, down to one
+    column."""
+    width = draw(st.integers(1, 20))
+    first = draw(st.integers(1 << width - 1, (1 << width) - 1))
+    rest = draw(st.lists(st.integers(0, (1 << width) - 1),
+                         min_size=width + 1, max_size=width + 8, unique=True))
+    return draw(st.permutations([first, *(r for r in rest if r != first)]))
+
+
+# Up to 12 masks of up to 6 bits, and narrow masks: both sides of
+# by_inclusion's choice between holder columns (fewer bits than masks) and
+# the pairwise loop, each also pinned by an example, as are column runs.
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=12, unique=True)
+       | narrow_masks())
 @example([0b00, 0b01, 0b10, 0b11])
 @example([0b001, 0b011, 0b110])
+@example([0, 1])  # one column
+@example(list(range(0, 256, 19)))  # one whole run
+@example(list(range(0, 512, 37)))  # a whole run, then one column
+@example(list(range(0, 1 << 17, 5000)))  # two whole runs, then one column
 def test_by_inclusion_matches_double_loop(masks):
     below = [0] * len(masks)
     above = [0] * len(masks)

@@ -1,14 +1,15 @@
 """The README's scale contract, through the CLI.
 
 Bell(8) = 4140 partitions.  The budgets are loose on purpose; they fail
-when Level I falls back to a quadratic build (about 25 s at n = 8), or
-when ``verify --n 5`` (every label checked by ``type_set`` and the lemma,
-about 0.3 s), ``verify --n 6 --context atoms`` (2^15 - 1 labels, about
-0.26 s) or the atoms catalog at n = 6 (about 0.3 s) grows several times
-slower.  ``type_set`` tests only its candidate partitions, and both
+when Level I falls back to a quadratic build (about 25 s at n = 8, where
+the one-walk build read through byte tables takes about 0.03 s and its
+covers about 0.05 s), or when ``verify --n 5`` (every label checked by
+``type_set`` and the lemma, about 0.3 s), ``verify --n 6 --context
+atoms`` (2^15 - 1 labels, about 0.26 s) or the atoms catalog at n = 6
+(about 0.3 s) grows several times slower.  ``type_set`` tests only its candidate partitions, and both
 checks read a label's member and complement masks from the context's
 byte tables (``PropertyContext.split``), about one lookup per 8 ideals.
-``verify --n 8 --context k_prod`` takes about 0.65 s; the linear
+``verify --n 8 --context k_prod`` takes about 0.47 s; the linear
 call count of its principal-meet check is pinned in
 ``test_pair_masks.py``.
 """

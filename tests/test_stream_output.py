@@ -192,6 +192,22 @@ def test_full_n4_up_closure_memo_is_sparse(lat4):
     assert 0 < len(context.poset._up_rows) <= closures.call_count * runs
 
 
+def test_full_n4_down_closure_memo_is_lazy_and_sparse(lat4):
+    # the 346-element context's down-closure memo is made by its first
+    # down-closure, and holds rows only for the bytes its closures read
+    poset = enumerate_ideals(lat4).poset
+    assert poset._down_rows is None
+    picked = range(0, len(poset), 9)
+    for i in picked:
+        q = 1 << i | 1 << len(poset) - 1 - i
+        expected = 0
+        for y in bits(q):
+            expected |= poset.below[y]
+        assert poset.down_closure(q) == expected
+    runs = -(-len(poset) // 8)
+    assert 0 < len(poset._down_rows) <= len(picked) * runs < 255 * runs
+
+
 def test_atoms_n6_streams_in_bounded_memory():
     """From construction through the render, the catalog holds each empty
     label as its 4-byte minimal mask alone: it checks and names each one
