@@ -23,8 +23,8 @@ from .classify import (ClassDescriptor, Filter, class_exists, cross_check,
 from .ideals import (PropertyContext, _byte_table, atom_context,
                      coatom_context, enumerate_ideals,
                      k_partitionability_context, k_producibility_context)
-from .partitions import (Partition, PartitionLattice, shape_string,
-                         state_shape)
+from .partitions import PartitionLattice, shape_string, state_shape
+from .poset import bits
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json and catalog_jsonl
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode  # JSON lines
@@ -54,22 +54,20 @@ class Catalog:
         # disagree
         self.discrepancies = discrepancies
 
-    @property
-    def lattice(self) -> PartitionLattice:
-        return self.context.lattice
 
-
-def _rendered(d: ClassDescriptor) -> tuple[str | None, tuple[Partition, ...]]:
-    """A record's witness name (``None`` if it has none) and its types: the
-    one place where a verdict's masks become partitions."""
+def _rendered(d: ClassDescriptor) -> tuple[str | None, list[str]]:
+    """A record's witness name (``None`` if it has none) and its types'
+    names: the one place where a verdict's masks become names."""
     lattice = d.label.context.lattice
-    witness = None if d.witness is None else str(lattice.partitions[d.witness])
-    return witness, lattice.mask_to_partitions(d.types) if d.types else ()
+    witness = None if d.witness is None else lattice.names(1 << d.witness)[0]
+    return witness, lattice.names(d.types)
 
 
-def _shapes(types: tuple[Partition, ...], display: Callable) -> str:
-    """The types' distinct shapes, largest first, each shown by ``display``."""
-    return ", ".join(map(display, sorted({p.shape() for p in types},
+def _shapes(d: ClassDescriptor, display: Callable) -> str:
+    """The distinct shapes of a record's types, largest first, each shown
+    by ``display``."""
+    shape = d.label.context.lattice.shape
+    return ", ".join(map(display, sorted({shape(i) for i in bits(d.types)},
                                          reverse=True)))
 
 
@@ -182,12 +180,12 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         records.append({
             "label": d.label.minimal_names(),
             "witness": witness,
-            "type_set": [str(p) for p in types],
-            "state_shape": _shapes(types, state_shape) or "-",
+            "type_set": types,
+            "state_shape": _shapes(d, state_shape) or "-",
         })
     head = json.dumps({
         "kind": catalog.kind,
-        "n": catalog.lattice.n,
+        "n": catalog.context.lattice.n,
         "context_size": len(catalog.context),
         "class_count": len(catalog.classes),
         "empty_label_count": len(catalog.empties),
@@ -226,9 +224,7 @@ def _record(names: list[str], exists: bool, witness: str | None,
 
 def class_record(d: ClassDescriptor) -> dict:
     """One JSON-ready record per filter for the report stream."""
-    witness, types = _rendered(d)
-    return _record(d.label.minimal_names(), d.exists, witness,
-                   [str(p) for p in types])
+    return _record(d.label.minimal_names(), d.exists, *_rendered(d))
 
 
 def class_report_jsonl(
@@ -266,6 +262,11 @@ def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
         yield "".join(batch)
 
 
+def _heading(catalog: Catalog) -> str:
+    return (f"{catalog.kind} classification, n={catalog.context.lattice.n}:"
+            f" {len(catalog.classes)} classes")
+
+
 def catalog_text(catalog: Catalog) -> str:
     rows = [("label", "witness", "type_set", "state_shape")]
     for d in catalog.classes:
@@ -273,8 +274,8 @@ def catalog_text(catalog: Catalog) -> str:
         rows.append((
             str(d.label),
             witness or "-",
-            ", ".join(map(str, types)),
-            _shapes(types, state_shape) or "-",
+            ", ".join(types),
+            _shapes(d, state_shape) or "-",
         ))
     widths = [max(len(r[c]) for r in rows) for c in range(4)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -283,16 +284,11 @@ def catalog_text(catalog: Catalog) -> str:
     # a catalog that walked no labels has no count of its empty ones
     empties = (f"{len(catalog.empties)} empty labels (exhaustive)"
                if catalog.exhaustive else "empty labels not counted")
-    header = (f"{catalog.kind} classification, n={catalog.lattice.n}: "
-              f"{len(catalog.classes)} classes, {empties}")
-    return "\n".join([header, ""] + lines)
+    return "\n".join([f"{_heading(catalog)}, {empties}", ""] + lines)
 
 
 def catalog_letters(catalog: Catalog) -> str:
     """The classes with their types collapsed to orbit shapes (ab|c)."""
-    lines = [f"{catalog.kind} classification, n={catalog.lattice.n}: "
-             f"{len(catalog.classes)} classes"]
-    for d in catalog.classes:
-        shown = _shapes(_rendered(d)[1], shape_string)
-        lines.append(f"  {d.label}  ->  {{{shown}}}")
-    return "\n".join(lines)
+    return "\n".join([_heading(catalog)] + [
+        f"  {d.label}  ->  {{{_shapes(d, shape_string)}}}"
+        for d in catalog.classes])

@@ -6,7 +6,7 @@ partition ζ a correlation type: a state of type ζ satisfies exactly the
 ideals containing ζ.  The type set of a filter is the brute-force list of
 types realizing its class, and is the oracle against which the algebraic
 existence and uniqueness tests are cross-checked.  Verdicts hold masks and
-indices over the partitions; only :mod:`catalogs` makes partitions of them.
+indices over the partitions; only :mod:`catalogs` names them.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     lattice = enumerate_partitions(args.n)
     if args.level == "I":
         poset = lattice.poset
-        labels = [str(p) for p in lattice.partitions]
+        labels = lattice.names(lattice.full_mask)
     elif args.level == "II":
         ip = idl.enumerate_ideals(lattice)
         poset = ip.poset

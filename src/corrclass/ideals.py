@@ -7,10 +7,9 @@ display names an ideal by its maximal elements, e.g. "↓{12|3, 13|2}".
 
 from __future__ import annotations
 
-import re
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from .partitions import Partition, PartitionLattice
+from .partitions import PartitionLattice
 from .poset import CapExceeded, Poset, bits
 
 FULL_ENUMERATION_MAX_N = 4  # down-set counts explode past the 15-element lattice
@@ -48,10 +47,6 @@ class Ideal:
         ideal._str = None
         return ideal
 
-    def maximal_partitions(self) -> tuple[Partition, ...]:
-        return self.lattice.mask_to_partitions(
-            self.lattice.poset.maximal(self.members))
-
     def contains(self, other: "Ideal") -> bool:
         if self.lattice is not other.lattice:
             raise ValueError("ideals belong to different lattices")
@@ -62,8 +57,8 @@ class Ideal:
 
     def __str__(self) -> str:
         if self._str is None:
-            inner = ", ".join(str(p) for p in self.maximal_partitions())
-            self._str = "↓{" + inner + "}"
+            maxima = self.lattice.poset.maximal(self.members)
+            self._str = "↓{" + ", ".join(self.lattice.names(maxima)) + "}"
         return self._str
 
     def __repr__(self) -> str:
@@ -78,38 +73,26 @@ class Ideal:
         return self._hash
 
 
-def principal_ideal(lattice: PartitionLattice, xi: Partition | int) -> Ideal:
-    """The down-closure of a single partition."""
-    idx = lattice.index[xi] if isinstance(xi, Partition) else xi
-    return Ideal._down_closed(lattice, lattice.poset.below[idx])
+def principal_ideal(lattice: PartitionLattice, i: int) -> Ideal:
+    """The down-closure of the element of index i."""
+    return Ideal._down_closed(lattice, lattice.poset.below[i])
 
 
 def ideal_from_generators(lattice: PartitionLattice,
-                          generators: list[Partition | int]) -> Ideal:
+                          generators: Iterable[int]) -> Ideal:
+    """The down-closure of the elements of the given indices."""
     mask = 0
-    for g in generators:
-        idx = lattice.index[g] if isinstance(g, Partition) else g
-        mask |= 1 << idx
-    return Ideal(lattice, lattice.poset.down_closure(mask))
-
-
-# A maximal partition in an ideal spec, in brace ("{{1,2},{3}}") or bar
-# ("12|3") notation; the rest of a spec is commas, whitespace and braces.
-_PARTITION = re.compile(r"\{\s*(?:\{[^{}]*\}[\s,]*)+\}|[^\s,{}][^,{}]*")
-# The spec with each partition replaced by "p": a list, bare or braced.
-_SPEC_SHAPE = re.compile(r"[\s,]*(?:p[\s,]*)+|\{[\s,]*(?:p[\s,]*)+\}")
+    for i in generators:
+        mask |= 1 << i
+    if mask == 0:
+        raise ValueError("the empty set is not an ideal")
+    return Ideal._down_closed(lattice, lattice.poset.down_closure(mask))
 
 
 def parse_ideal(lattice: PartitionLattice, text: str) -> Ideal:
-    """Parse an ideal from a comma-separated list of maximal partitions, each
-    in bar ("12|3") or brace ("{{1,2},{3}}") notation, optionally written
-    as "↓{...}"."""
-    spec = text.strip().removeprefix("↓").strip()
-    if not _SPEC_SHAPE.fullmatch(_PARTITION.sub("p", spec)):
-        raise ValueError(f"expected a comma-separated list of partitions,"
-                         f" got {spec!r}")
-    return ideal_from_generators(lattice, [
-        Partition.parse(tok, lattice.n) for tok in _PARTITION.findall(spec)])
+    """Parse an ideal from the list of its maximal elements, as
+    ``lattice.parse`` reads it."""
+    return ideal_from_generators(lattice, lattice.parse(text))
 
 
 def k_partitionable_ideal(lattice: PartitionLattice, k: int) -> Ideal:

@@ -28,6 +28,11 @@ MAX_N = 8
 _NOTATION = re.compile(
     r"\d+(?:\s*\|\s*\d+)*|\{\s*(?:\{\s*\d+(?:[\s,]+\d+)*\s*\}[\s,]*)+\}",
     re.ASCII)
+# A maximal partition in an ideal spec, in either notation; the rest of a
+# spec is commas, whitespace and braces.
+_PARTITION = re.compile(r"\{\s*(?:\{[^{}]*\}[\s,]*)+\}|[^\s,{}][^,{}]*")
+# The spec with each partition replaced by "p": a list, bare or braced.
+_SPEC_SHAPE = re.compile(r"[\s,]*(?:p[\s,]*)+|\{[\s,]*(?:p[\s,]*)+\}")
 
 
 def bell_number(n: int) -> int:
@@ -270,8 +275,24 @@ class PartitionLattice:
     def meet_index(self, i: int, j: int) -> int:
         return self._by_pairs[self.pairs[i] & self.pairs[j]]
 
-    def mask_to_partitions(self, mask: int) -> tuple[Partition, ...]:
-        return tuple(self.partitions[i] for i in bits(mask))
+    def names(self, mask: int) -> list[str]:
+        """Display strings of the partitions in ``mask``, by index."""
+        return [str(self.partitions[i]) for i in bits(mask)]
+
+    def shape(self, i: int) -> tuple[int, ...]:
+        """Block sizes of partition i, descending."""
+        return self.partitions[i].shape()
+
+    def parse(self, spec: str) -> list[int]:
+        """Indices of the partitions an ideal spec lists: a comma-separated
+        list of partitions, each in bar ("12|3") or brace ("{{1,2},{3}}")
+        notation, optionally written as "↓{...}"."""
+        spec = spec.strip().removeprefix("↓").strip()
+        if not _SPEC_SHAPE.fullmatch(_PARTITION.sub("p", spec)):
+            raise ValueError(f"expected a comma-separated list of partitions,"
+                             f" got {spec!r}")
+        return [self.index[Partition.parse(tok, self.n)]
+                for tok in _PARTITION.findall(spec)]
 
 
 def enumerate_partitions(n: int) -> PartitionLattice:

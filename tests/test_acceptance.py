@@ -19,6 +19,7 @@ from corrclass.classify import (class_exists, class_mask, describe_class,
                                 lemma_principal_check, type_set)
 from corrclass.ideals import PropertyContext, full_context, principal_ideal
 from corrclass.partitions import Partition, enumerate_partitions
+from corrclass.poset import bits
 from corrclass.venn import (check_lemma_upset, counterexample_family,
                             generic_family, random_family,
                             three_label_posets)
@@ -44,19 +45,21 @@ def test_criterion_01_partition_counts():
 
 def test_criterion_02_finest_n3():
     t0 = time.monotonic()
-    cat = catalog_for("full", enumerate_partitions(3))
-    types = cat.lattice.mask_to_partitions
+    lattice = enumerate_partitions(3)
+    cat = catalog_for("full", lattice)
     ok = len(cat.classes) == 5
     # labels are exactly the principal filters of principal ideals
     for d in cat.classes:
         mins = d.label.minimal_ideals()
-        ok = ok and len(mins) == 1 and len(mins[0].maximal_partitions()) == 1
-        ok = ok and types(d.types) == mins[0].maximal_partitions()
+        maxima = lattice.poset.maximal(mins[0].members)
+        ok = ok and len(mins) == 1 and maxima.bit_count() == 1
+        ok = ok and d.types == maxima
     # pairwise unequal classes
     for i, a in enumerate(cat.classes):
         for b in cat.classes[i + 1:]:
             ok = ok and class_mask(a.label) != class_mask(b.label)
-    shapes = sorted(types(d.types)[0].shape() for d in cat.classes)
+    shapes = sorted(lattice.shape(i) for d in cat.classes
+                    for i in bits(d.types))
     ok = ok and shapes == [(1, 1, 1)] + [(2, 1)] * 3 + [(3,)]
     ok = ok and elapsed_ok(t0, 1)
     report(2, ok, "finest n=3: 5 classes, principal labels, 1+3+1 shapes")
@@ -64,11 +67,12 @@ def test_criterion_02_finest_n3():
 
 def test_criterion_03_finest_n4():
     t0 = time.monotonic()
-    cat = catalog_for("full", enumerate_partitions(4))
+    lattice = enumerate_partitions(4)
+    cat = catalog_for("full", lattice)
     by_shape = {}
     for d in cat.classes:
         assert d.types.bit_count() == 1
-        shape = cat.lattice.mask_to_partitions(d.types)[0].shape()
+        shape = lattice.shape(d.types.bit_length() - 1)
         by_shape[shape] = by_shape.get(shape, 0) + 1
     ok = (len(cat.classes) == 15
           and by_shape == {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3,
@@ -88,8 +92,10 @@ def test_criterion_04_chain_catalogs():
     lattice = enumerate_partitions(4)
     part = catalog_for("k_part", lattice)
     prod = catalog_for("k_prod", lattice)
-    part_types = [lattice.mask_to_partitions(d.types) for d in part.classes]
-    prod_types = [lattice.mask_to_partitions(d.types) for d in prod.classes]
+    part_types = [[lattice.partitions[i] for i in bits(d.types)]
+                  for d in part.classes]
+    prod_types = [[lattice.partitions[i] for i in bits(d.types)]
+                  for d in prod.classes]
     # bottom-up: the 2-partitionable class is second from the top
     two_part = [t for t in part_types if {p.parts_count for p in t} == {2}]
     ok = ok and len(two_part) == 1 and (
@@ -122,13 +128,13 @@ def test_criterion_05_atom_antichain_computed():
     t0 = time.monotonic()
     ok = True
     for n in range(3, 7):
-        cat = catalog_for("atoms", enumerate_partitions(n))
+        lattice = enumerate_partitions(n)
+        cat = catalog_for("atoms", lattice)
         singles = [d for d in cat.classes if len(d.label) == 1]
         full = [d for d in cat.classes if len(d.label) == comb(n, 2)]
         ok = ok and len(cat.classes) == comb(n, 2) + 1
         ok = ok and len(singles) == comb(n, 2) and len(full) == 1
-        ok = ok and (cat.lattice.mask_to_partitions(full[0].types)
-                     == (Partition.bottom(n),))
+        ok = ok and full[0].types == 1 << lattice.index[Partition.bottom(n)]
         # every strictly intermediate label is empty
         ok = ok and all(len(d.label) in (1, comb(n, 2)) for d in cat.classes)
     ok = ok and elapsed_ok(t0, 30)

@@ -9,7 +9,7 @@ from corrclass.classify import (ClassDescriptor, Filter, enumerate_filters,
                                 signature_groups)
 from corrclass.ideals import PropertyContext, coatom_context, principal_ideal
 from corrclass.partitions import Partition, bell_number, enumerate_partitions
-from corrclass.poset import CapExceeded
+from corrclass.poset import CapExceeded, bits
 
 from test_signature import oracle_types
 
@@ -24,7 +24,8 @@ def covered_mask(catalog):
 
 def types_of(catalog, d):
     """The types of one of the catalog's classes, as partitions."""
-    return catalog.lattice.mask_to_partitions(d.types)
+    partitions = catalog.context.lattice.partitions
+    return tuple(partitions[i] for i in bits(d.types))
 
 
 def empty_filters(catalog):
@@ -42,7 +43,7 @@ class TestFinest:
         assert len(cat.classes) == 5
         assert len(cat.empties) == 15
         types = {types_of(cat, d) for d in cat.classes}
-        assert types == {(p,) for p in cat.lattice.partitions}
+        assert types == {(p,) for p in lat3.partitions}
 
     def test_all_classes_nonempty(self, lat3):
         cat = catalog_for("full", lat3)
@@ -194,9 +195,9 @@ class TestDispatch:
 
     def test_custom_general(self, lat4):
         ctx = PropertyContext(lat4, [
-            principal_ideal(lat4, Partition.parse("12|34")),
-            principal_ideal(lat4, Partition.parse("13|24")),
-            principal_ideal(lat4, Partition.parse("123|4"))])
+            principal_ideal(lat4, lat4.index[Partition.parse("12|34")]),
+            principal_ideal(lat4, lat4.index[Partition.parse("13|24")]),
+            principal_ideal(lat4, lat4.index[Partition.parse("123|4")])])
         cat = custom_catalog(ctx)
         assert cat.kind == "custom"
         assert cat.exhaustive

@@ -37,7 +37,7 @@ def _full_label_as_first_atom(context):
 
 
 def principal_filter(ctx, partition):
-    ideal = principal_ideal(ctx.lattice, partition)
+    ideal = principal_ideal(ctx.lattice, ctx.lattice.index[partition])
     return make_filter(ctx, [ideal])
 
 
@@ -85,8 +85,7 @@ class TestExistence:
         assert verdict.exists
         lattice = ctx3.lattice
         assert lattice.partitions[verdict.witness] == Partition.bottom(3)
-        assert lattice.mask_to_partitions(oracle_types(f)) == (
-            Partition.bottom(3),)
+        assert oracle_types(f) == 1 << lattice.index[Partition.bottom(3)]
 
     def test_principal_filters_realize_their_partition(self, ctx3):
         for i, p in enumerate(ctx3.lattice.partitions):
@@ -101,8 +100,9 @@ class TestExistence:
         assert len(f) == 1
         assert class_exists(f).exists  # only top's principal ideal is above
         # a genuinely empty one: demand two incomparable principal ideals
-        a = principal_ideal(ctx3.lattice, Partition.parse("12|3"))
-        b = principal_ideal(ctx3.lattice, Partition.parse("13|2"))
+        lattice = ctx3.lattice
+        a = principal_ideal(lattice, lattice.index[Partition.parse("12|3")])
+        b = principal_ideal(lattice, lattice.index[Partition.parse("13|2")])
         g = make_filter(ctx3, [a, b])
         assert not class_exists(g).exists
         assert oracle_types(g) == 0

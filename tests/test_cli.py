@@ -143,6 +143,23 @@ class TestClassify:
         assert err == (f"error: {path}:2: cannot parse partition from"
                        f" '{{{{1}},{{2}},{{3}},{{}}}}'\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("12|3 {13|2}", "expected a comma-separated list of partitions,"
+                        " got '12|3 {13|2}'"),
+        ("1234", "label 4 outside 1..3"),
+        ("12|3|3", "blocks are not disjoint"),
+    ])
+    def test_custom_context_rejected_line(self, capsys, tmp_path, line,
+                                          message):
+        path = tmp_path / "ctx.txt"
+        path.write_text(f"12|3\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--n", "3",
+                             "--context", "custom",
+                             "--context-file", str(path))
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        assert err == f"error: {path}:2: {message}\n"
+
     def test_custom_context_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "ctx.txt"
         path.write_bytes(b"12|3\n13|2\xff\n1|23\n")

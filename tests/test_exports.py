@@ -63,14 +63,30 @@ def test_every_public_poset_method_is_called_outside_the_tests():
     assert sorted(public - called - POSET_TEST_REFERENCES) == []
 
 
-def test_classify_names_no_partition():
-    """``classify`` reads Level I as masks (the lattice's poset, full mask
-    and size) and leaves every partition object to the writers."""
-    path = PACKAGE / "classify.py"
-    imported = set()
+def imports(path):
+    """The modules a Python file imports from, and the names it imports."""
+    modules, names = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            imported |= {node.module, *(alias.name for alias in node.names)}
+            modules.add(node.module)
+            names |= {alias.name for alias in node.names}
+    return modules, names
+
+
+def test_classify_names_no_partition():
+    """``classify`` reads Level I as masks (the lattice's poset, full mask
+    and size).  ``ideals``, ``catalogs`` and ``cli`` read it through the
+    ``PartitionLattice`` interface, partitions named by ``names`` and
+    parsed by ``parse``, and hold no partition object."""
+    path = PACKAGE / "classify.py"
+    modules, names = imports(path)
     forbidden = {"Partition", "partitions", "index", "shape",
                  "mask_to_partitions"}
-    assert sorted((code_references(path) | imported) & forbidden) == []
+    assert sorted((code_references(path) | modules | names)
+                  & forbidden) == []
+    forbidden = {"Partition", "partitions", "mask_to_partitions",
+                 "maximal_partitions"}
+    for name in ("ideals.py", "catalogs.py", "cli.py"):
+        path = PACKAGE / name
+        found = (code_references(path) | imports(path)[1]) & forbidden
+        assert (name, sorted(found)) == (name, [])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from corrclass.ideals import (Ideal, atom_context, chain_check_part_prod,
@@ -7,7 +9,12 @@ from corrclass.ideals import (Ideal, atom_context, chain_check_part_prod,
                               k_partitionable_ideal, k_producibility_context,
                               k_producible_ideal, parse_ideal, principal_ideal)
 from corrclass.partitions import Partition, enumerate_partitions
-from corrclass.poset import CapExceeded, bits
+from corrclass.poset import CapExceeded, Poset, bits
+
+
+def members(lattice, mask):
+    """The partitions in ``mask``, by ascending index."""
+    return tuple(lattice.partitions[i] for i in bits(mask))
 
 
 def brute_downsets(lattice):
@@ -32,6 +39,8 @@ class TestIdeal:
     def test_rejects_empty(self, lat3):
         with pytest.raises(ValueError):
             Ideal(lat3, 0)
+        with pytest.raises(ValueError, match="the empty set is not an ideal"):
+            ideal_from_generators(lat3, [])
 
     def test_rejects_non_down_closed(self, lat3):
         top_only = 1 << lat3.top_index
@@ -42,8 +51,9 @@ class TestIdeal:
         for i, p in enumerate(lat4.partitions):
             ideal = principal_ideal(lat4, i)
             expected = {q for q in lat4.partitions if q.refines(p)}
-            assert set(lat4.mask_to_partitions(ideal.members)) == expected
-            assert ideal.maximal_partitions() == (p,)
+            assert set(members(lat4, ideal.members)) == expected
+            assert lat4.poset.maximal(ideal.members) == 1 << i
+            assert str(ideal) == f"↓{{{p}}}"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_principal_equals_validated_ideal(self, n):
@@ -55,8 +65,8 @@ class TestIdeal:
             assert str(ideal) == str(checked)
 
     def test_display_by_maximal_elements(self, lat3):
-        a = principal_ideal(lat3, Partition.parse("12|3"))
-        b = principal_ideal(lat3, Partition.parse("13|2"))
+        a = principal_ideal(lat3, lat3.index[Partition.parse("12|3")])
+        b = principal_ideal(lat3, lat3.index[Partition.parse("13|2")])
         assert str(Ideal(lat3, a.members | b.members)) == "↓{12|3, 13|2}"
 
     def test_cross_lattice_rejected(self, lat3, lat4):
@@ -66,8 +76,8 @@ class TestIdeal:
             a.contains(b)
 
     def test_parse_ideal_roundtrip(self, lat4):
-        a = ideal_from_generators(lat4, [Partition.parse("12|34"),
-                                         Partition.parse("13|24")])
+        a = ideal_from_generators(lat4, [lat4.index[Partition.parse("12|34")],
+                                         lat4.index[Partition.parse("13|24")]])
         assert parse_ideal(lat4, str(a)) == a
         assert parse_ideal(lat4, "12|34, 13|24") == a
 
@@ -77,7 +87,17 @@ class TestIdeal:
     def test_parse_ideal_notations(self, lat4, spec):
         # brace and bar notation, bare or wrapped, name the same ideal
         assert parse_ideal(lat4, spec) == ideal_from_generators(
-            lat4, [Partition.parse("12|34"), Partition.parse("13|24")])
+            lat4, [lat4.index[Partition.parse("12|34")],
+                   lat4.index[Partition.parse("13|24")]])
+
+    def test_parse_ideal_down_closes_once(self, lat5):
+        closure = Poset.down_closure
+        with mock.patch.object(Poset, "down_closure", autospec=True,
+                               side_effect=closure) as spy:
+            ideal = parse_ideal(lat5, "12|345, 13|245")
+        assert spy.call_count == 1
+        assert ideal == Ideal(lat5, ideal.members)
+        assert str(ideal) == "↓{12|345, 13|245}"
 
     def test_parse_rejects_empty(self, lat3):
         for spec in ("", ",", "{}", "12|3}", "{12|3", "12|3 {13|2}"):
@@ -97,31 +117,30 @@ class TestFamilies:
 
     def test_n_partitionable_is_bottom_only(self, lat4):
         ideal = k_partitionable_ideal(lat4, 4)
-        assert set(lat4.mask_to_partitions(ideal.members)) == {
-            Partition.bottom(4)}
+        assert ideal.members == 1 << lat4.bottom_index
 
     def test_n_producible_is_everything(self, lat4):
         assert len(k_producible_ideal(lat4, 4)) == len(lat4)
 
     def test_one_producible_is_bottom_only(self, lat4):
         ideal = k_producible_ideal(lat4, 1)
-        assert set(lat4.mask_to_partitions(ideal.members)) == {
-            Partition.bottom(4)}
+        assert ideal.members == 1 << lat4.bottom_index
 
     def test_two_producible_n4(self, lat4):
         ideal = k_producible_ideal(lat4, 2)
         assert all(p.max_part_size <= 2
-                   for p in lat4.mask_to_partitions(ideal.members))
+                   for p in members(lat4, ideal.members))
         assert len(ideal) == 10  # 1 + 6 pairings + 3 double pairings
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_chains_match_block_statistics(self, n):
         lattice = enumerate_partitions(n)
-        members = lattice.mask_to_partitions
         for k in range(1, n + 1):
-            assert set(members(k_partitionable_ideal(lattice, k).members)) == {
+            assert set(members(lattice, k_partitionable_ideal(
+                lattice, k).members)) == {
                 p for p in lattice.partitions if p.parts_count >= k}
-            assert set(members(k_producible_ideal(lattice, k).members)) == {
+            assert set(members(lattice, k_producible_ideal(
+                lattice, k).members)) == {
                 p for p in lattice.partitions if p.max_part_size <= k}
 
     def test_k_out_of_range(self, lat4):
@@ -172,8 +191,8 @@ class TestEnumeration:
             1 << lattice.bottom_index)
         assert ip4.ideals[top.bit_length() - 1].members == lattice.full_mask
         atoms = poset.minimal(poset.full & ~bottom)
-        blocks = [sorted(p.parts_count for p in lattice.mask_to_partitions(
-            ip4.ideals[i].members)) for i in bits(atoms)]
+        blocks = [sorted(p.parts_count for p in members(
+            lattice, ip4.ideals[i].members)) for i in bits(atoms)]
         assert blocks == [[3, 4]] * 6
 
 
@@ -185,14 +204,15 @@ class TestContexts:
         ctx = atom_context(lat4)
         assert len(ctx) == 6
         assert ctx.poset.below == [1 << i for i in range(6)]
-        assert all(len(i.maximal_partitions()) == 1 for i in ctx.ideals)
+        assert all(lat4.poset.maximal(i.members).bit_count() == 1
+                   for i in ctx.ideals)
 
     def test_coatom_context_n4(self, lat4):
         ctx = coatom_context(lat4)
         assert len(ctx) == 7
         assert ctx.poset.below == [1 << i for i in range(7)]
-        shapes = sorted(i.maximal_partitions()[0].shape()
-                        for i in ctx.ideals)
+        shapes = sorted(lat4.shape(lat4.poset.maximal(i.members).bit_length()
+                                   - 1) for i in ctx.ideals)
         assert shapes == [(2, 2)] * 3 + [(3, 1)] * 4
 
     def test_covered_mask(self, lat4):
@@ -211,7 +231,8 @@ class TestContexts:
         ctx = k_partitionability_context(lat4)
         ideal = k_partitionable_ideal(lat4, 2)
         assert ctx.ideals[ctx.locate(ideal)] == ideal
-        atom = ideal_from_generators(lat4, [Partition.parse("12|3|4")])
+        atom = ideal_from_generators(lat4, [lat4.index[
+            Partition.parse("12|3|4")]])
         with pytest.raises(KeyError):
             ctx.locate(atom)
 

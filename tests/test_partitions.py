@@ -121,20 +121,32 @@ class TestLattice:
     # partitions below the top
     def test_atoms_are_n_minus_1_part(self, lat4):
         above_bottom = lat4.full_mask & ~(1 << lat4.bottom_index)
-        atoms = set(lat4.mask_to_partitions(lat4.poset.minimal(above_bottom)))
-        assert atoms == {p for p in lat4.partitions if p.parts_count == 3}
+        atoms = set(lat4.names(lat4.poset.minimal(above_bottom)))
+        assert atoms == {str(p) for p in lat4.partitions if p.parts_count == 3}
         assert len(atoms) == 6
 
     def test_coatoms_are_bipartitions(self, lat4):
         below_top = lat4.full_mask & ~(1 << lat4.top_index)
-        coatoms = set(lat4.mask_to_partitions(lat4.poset.maximal(below_top)))
-        assert coatoms == {p for p in lat4.partitions if p.parts_count == 2}
+        coatoms = set(lat4.names(lat4.poset.maximal(below_top)))
+        assert coatoms == {str(p) for p in lat4.partitions
+                           if p.parts_count == 2}
         assert len(coatoms) == 7
+
+    def test_names_shapes_and_parsed_indices(self, lat4):
+        # indices in the order listed, names in the order of the indices
+        i, j = lat4.parse("↓{13|24, {{1,2},{3,4}}}")
+        assert (lat4.partitions[i], lat4.partitions[j]) == (
+            P("13|24"), P("12|34"))
+        assert lat4.names(1 << i | 1 << j) == ["12|34", "13|24"]
+        assert lat4.names(0) == []
+        assert lat4.names(lat4.full_mask) == list(map(str, lat4.partitions))
+        assert [lat4.shape(i) for i in range(len(lat4))] == [
+            p.shape() for p in lat4.partitions]
+        assert lat4.shape(lat4.top_index) == (4,)
 
     def test_atoms_n3(self, lat3):
         above_bottom = lat3.full_mask & ~(1 << lat3.bottom_index)
-        atoms = set(map(str, lat3.mask_to_partitions(
-            lat3.poset.minimal(above_bottom))))
+        atoms = set(lat3.names(lat3.poset.minimal(above_bottom)))
         assert atoms == {"12|3", "13|2", "1|23"}
 
     def test_deterministic_enumeration(self):

@@ -49,7 +49,7 @@ def empty_label_name(catalog, mins) -> str:
 
 def reference_class(catalog, d) -> dict:
     """A class's record, its partitions read off the lattice by index."""
-    partitions = catalog.lattice.partitions
+    partitions = catalog.context.lattice.partitions
     types = [partitions[i] for i in bits(d.types)]
     shapes = sorted({p.shape() for p in types}, reverse=True)
     return {
@@ -64,7 +64,7 @@ def reference_json(catalog) -> str:
     """The catalog document, serialised in one ``json.dumps`` call."""
     return json.dumps({
         "kind": catalog.kind,
-        "n": catalog.lattice.n,
+        "n": catalog.context.lattice.n,
         "context_size": len(catalog.context),
         "class_count": len(catalog.classes),
         "empty_label_count": len(catalog.empties),
