@@ -17,9 +17,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 # enumerate_filters is not called here: perfbench/test_perfbench.py checks
 # that the tracer wraps it in this namespace too.
-from .classify import (ClassDescriptor, Filter, class_exists, cross_check,
-                       describe_class, enumerable, enumerate_filters,
-                       label_name, label_walk, signature_groups)
+from .classify import (EXHAUSTIVE_CONTEXT_MAX, ClassDescriptor, Filter,
+                       class_exists, cross_check, describe_class, enumerable,
+                       enumerate_filters, label_name, label_walk,
+                       signature_groups)
 from .ideals import (PropertyContext, _byte_table, atom_context,
                      coatom_context, enumerate_ideals,
                      k_partitionability_context, k_producibility_context)
@@ -143,26 +144,41 @@ def custom_catalog(context: PropertyContext) -> Catalog:
                              context)
 
 
-def _escaped_names(context: PropertyContext,
-                   masks: Iterable[int]) -> Iterator[list[str]]:
-    """For each mask, its ideals' names as ``encode_basestring`` writes
-    them between the quotes, by ascending index.
+def _named_batches(context: PropertyContext, masks: Iterable[int],
+                   head: str, sep: str, tail: str,
+                   single: Callable[[str], str]) -> Iterator[list[str]]:
+    """Each mask's label text, ``LABEL_BATCH`` to a list: ``head``, its
+    ideals' names as ``encode_basestring`` writes them between the quotes,
+    by ascending index and joined by ``sep``, then ``tail``; a one-name
+    mask's text is ``single`` of its name.
 
     Reads each mask 8 bits at a time, over the runs of 8 ideals that
-    ``names_of`` reads, from tables that map a byte to its ideals' escaped
-    names.  The tables are built once, when the first mask is asked for,
-    and belong to this generator alone.
+    ``names_of`` reads, from tables that map a byte to its ideals' names
+    already joined, each preceded by ``sep``: a label's text is one lookup
+    per run, concatenated, with the leading ``sep`` cut (every label has
+    an ideal).  The expression reads three runs, all that the walk's cap
+    allows; a run past a smaller context's last is empty, and its table
+    is ``("",)``.  The tables are built once, when the first batch is
+    asked for, and belong to this generator alone.
     """
     names = [encode_basestring(str(ideal))[1:-1] for ideal in context.ideals]
-    tables = [_byte_table(names[start:start + 8], (),
-                          lambda run, name: run + (name,))
-              for start in range(0, len(names), 8)]
-    for mask in masks:
-        out: list[str] = []
-        for table in tables:
-            out += table[mask & 255]
-            mask >>= 8
-        yield out
+    if len(names) > 24:
+        raise ValueError(
+            f"the label namer reads at most 3 runs of 8 ideals, not"
+            f" {len(names)} ideals (EXHAUSTIVE_CONTEXT_MAX ="
+            f" {EXHAUSTIVE_CONTEXT_MAX})")
+    low, mid, high = [
+        _byte_table(names[start:start + 8], "",
+                    lambda text, name: text + sep + name)
+        for start in range(0, 24, 8)]
+    singles = {1 << i: single(name) for i, name in enumerate(names)}
+    cut = len(sep)
+    masks = iter(masks)
+    while batch := [
+            head + (low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[cut:]
+            + tail if m & m - 1 else singles[m]
+            for m in islice(masks, LABEL_BATCH)]:
+        yield batch
 
 
 def catalog_json(catalog: Catalog) -> Iterator[str]:
@@ -171,7 +187,7 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
 
     Everything but the empty labels is one ``json.dumps`` call.  The empty
     labels, up to 2^21 of them, follow ``LABEL_BATCH`` to a chunk, each
-    named from its ideals' escaped names (:func:`_escaped_names`), so the
+    named from its ideals' escaped names (:func:`_named_batches`), so the
     whole document is never held in memory.
     """
     records = []
@@ -197,14 +213,14 @@ def catalog_json(catalog: Catalog) -> Iterator[str]:
         yield head
         return
     yield head[:-len("[]\n}")]  # reopen the trailing "empty_labels": []
-    named = _escaped_names(catalog.context, catalog.empties)
-    sep = ",\n    "
-    opening = "[\n    "
     # encode_basestring (ensure_ascii=False) escapes character by
     # character, so a label name encodes as label_name over the escaped
     # names: "↑{", ", " and "}" need no escaping.
-    while batch := ['"' + label_name(names) + '"'
-                    for names in islice(named, LABEL_BATCH)]:
+    head, tail = f'"{label_name(["@"])}"'.split("@")
+    sep = ",\n    "
+    opening = "[\n    "
+    for batch in _named_batches(catalog.context, catalog.empties, head, ", ",
+                                tail, lambda name: head + name + tail):
         yield opening + sep.join(batch)
         opening = sep
     yield "\n  ]\n}"
@@ -240,7 +256,7 @@ def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
     An empty label's record is its signature group's, which is empty: its
     names, no witness and no types.  The catalog held the label's verdict
     to that group, so the record is written from the label's minimal mask
-    alone: its escaped names (:func:`_escaped_names`) go into a template
+    alone: its escaped names (:func:`_named_batches`) go into a template
     cut from :func:`_record`'s own encoding, one form for a label of one
     name (its ``canonical_generator``) and one for several (``null``).
     The empty lines follow ``LABEL_BATCH`` to a chunk.
@@ -253,12 +269,10 @@ def catalog_jsonl(catalog: Catalog) -> Iterator[str]:
         _record(["@"], False, None, [])).split("@")
     many_head, sep, many_tail = _encode_line(
         _record(["@", "@"], False, None, [])).split("@")
-    tail += "\n"
-    many_tail += "\n"
-    named = _escaped_names(catalog.context, catalog.empties)
-    while batch := [many_head + sep.join(names) + many_tail if len(names) > 1
-                    else head + names[0] + middle + names[0] + tail
-                    for names in islice(named, LABEL_BATCH)]:
+    for batch in _named_batches(
+            catalog.context, catalog.empties, many_head, sep,
+            many_tail + "\n",
+            lambda name: head + name + middle + name + tail + "\n"):
         yield "".join(batch)
 
 

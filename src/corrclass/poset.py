@@ -349,6 +349,13 @@ class Poset:
         below a cover, so nothing above a remaining element is ever
         removed, and a climb's end is a cover.  The work grows with the
         number of covers, not with the number of comparable pairs.
+
+        Each element a climb passes or ends at leaves ``rest`` as it goes
+        (it lies below the cover, so it would be removed anyway); ``rest``
+        thus shrinks at every step, and ``covers`` ends on any relation.
+        Each step is checked against ``below``: a step that ``below`` does
+        not hold (``above`` is not its transpose) raises
+        :class:`OrderViolation`.
         """
         out = []
         below, above = self.below, self.above
@@ -356,11 +363,12 @@ class Poset:
             rest = lower ^ 1 << j
             while rest:
                 x = (rest & -rest).bit_length() - 1
-                while True:
-                    higher = above[x] & rest ^ 1 << x
-                    if not higher:
-                        break
-                    x = (higher & -higher).bit_length() - 1
+                while higher := above[x] & (rest := rest ^ 1 << x):
+                    y = (higher & -higher).bit_length() - 1
+                    if not below[y] >> x & 1:
+                        raise OrderViolation(
+                            f"{y} is above {x} but {x} is not below {y}")
+                    x = y
                 out.append((x, j))
                 rest &= ~below[x]
         out.sort()

@@ -267,6 +267,15 @@ def test_covers_match_brute_force(p):
     assert p.covers() == brute_covers(p)
 
 
+def test_covers_refuses_above_that_is_not_below_transposed():
+    # 0 and 1 each claim the other above them, so the climb below 2 from
+    # 0 goes to 1 and back: it must fail, not loop
+    p = Poset.by_inclusion([0b001, 0b010, 0b111])
+    p.above = [0b111, 0b111, 0b100]
+    with pytest.raises(OrderViolation, match="1 is above 0"):
+        p.covers()
+
+
 @given(posets())
 def test_meet_is_greatest_lower_bound(p):
     for a in range(p.m):

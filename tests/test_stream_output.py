@@ -15,6 +15,7 @@ import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +177,62 @@ def test_labels_come_in_bounded_batches():
         min(catalogs.LABEL_BATCH, 1012 - start)
         for start in range(0, 1012, catalogs.LABEL_BATCH)]
     assert "".join(chunks) == reference_jsonl(catalog)
+
+
+def chain_with_pair(size, at):
+    """A custom context of ``size`` ideals at n = 5: a chain, the
+    down-closures of the first 1, 2, ... partitions of Π_5 by the size of
+    their down-set, with ↓123|4|5, ↓1|2|345 and their union put at the
+    indices ``at``.  The union's one-name label is empty (each of its
+    types lies in one of the pair), and so are some chain ideals'."""
+    lattice = _lattice(5)
+    below = lattice.poset.below
+    order = sorted(range(len(lattice)),
+                   key=lambda i: (below[i].bit_count(), i))
+    pair = [lattice.parse(spec)[0] for spec in ("123|4|5", "1|2|345")]
+    extras = [ideal_from_generators(lattice, gens)
+              for gens in (pair[:1], pair[1:], pair)]
+    ideals = [ideal_from_generators(lattice, order[:k])
+              for k in range(1, size - 2)]
+    for index, ideal in zip(at, extras):
+        ideals.insert(index, ideal)
+    return PropertyContext(lattice, ideals)
+
+
+@pytest.mark.parametrize("size, at, one_name_runs", [
+    (16, (8, 9, 10), {1}),  # two runs of 8 ideals
+    (21, (3, 12, 19), {1, 2}),  # three runs, the walk's cap
+])
+def test_writers_name_labels_across_runs(size, at, one_name_runs):
+    context = chain_with_pair(size, at)
+    assert len(context) == size
+    catalog = custom_catalog(context)
+    empties = list(catalog.empties)
+    assert catalog.kind == "custom" and len(empties) < 100
+    # labels of several names in later runs only, and of one name in each
+    # run past the first
+    assert any(m & 255 == 0 and m & m - 1 for m in empties)
+    assert {(m.bit_length() - 1) // 8 for m in empties
+            if not m & m - 1} >= one_name_runs
+    expected_json, expected_jsonl = (reference_json(catalog),
+                                     reference_jsonl(catalog))
+    for batch in (catalogs.LABEL_BATCH, 1, 2, 7):
+        with mock.patch.object(catalogs, "LABEL_BATCH", batch):
+            assert "".join(catalog_json(catalog)) == expected_json
+            assert "".join(catalog_jsonl(catalog)) == expected_jsonl
+
+
+def test_namer_reads_three_runs_and_refuses_a_fourth():
+    context = chain_with_pair(24, (21, 22, 23))
+    mask = 1 << 2 | 1 << 13 | 1 << 23
+    batch, = catalogs._named_batches(context, [mask, 1 << 23], "<", "+", ">",
+                                     lambda name: "1:" + name)
+    names = context.names_of(mask)
+    assert batch == ["<" + "+".join(names) + ">",
+                     "1:" + context.names_of(1 << 23)[0]]
+    wider = chain_with_pair(25, (22, 23, 24))
+    with pytest.raises(ValueError, match="EXHAUSTIVE_CONTEXT_MAX = 21"):
+        next(catalogs._named_batches(wider, [1], "", ", ", "", str))
 
 
 def test_full_n4_up_closure_memo_is_sparse(lat4):
