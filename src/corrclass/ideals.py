@@ -159,7 +159,7 @@ def principal_meet_check(lattice: PartitionLattice) -> dict:
     ``meet_index`` itself only on the pairs that hold a coatom.
     """
     poset = lattice.poset
-    below = [principal_ideal(lattice, i).members for i in range(len(lattice))]
+    below = poset.below  # each partition's principal ideal
     top = lattice.top_index
     coatom_mask = poset.maximal(lattice.full_mask & ~(1 << top))
     coatoms = list(bits(coatom_mask))

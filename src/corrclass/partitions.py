@@ -9,19 +9,18 @@ bar notation "12|3"; parsing also accepts "{{1,2},{3}}".
 from __future__ import annotations
 
 import re
-import string
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .poset import Poset, bits
 
 # What holds n at 8: with the cap lifted, n = 9 (21 147 partitions) takes
-# 0.4-0.6 s to build Level I, 1.3 s for its 175 896 covers and 0.07 s for
-# the principal ideals, at 129 MB peak RSS for build and covers; verify's
-# principal-meet check takes 6.5 s in all (5.4M coatom meets; shared
-# 2-vCPU x86-64 VM, Python 3.11), and the coatom context of 255 ideals
-# needs its empty labels counted without walking them before it can be
-# classified.
+# 0.18-0.22 s to build Level I, 0.03-0.05 s to name every partition,
+# 0.7 s for its 175 896 covers and 0.06 s for the principal ideals, at
+# 129 MB peak RSS for build and covers; verify's principal-meet check
+# takes 4.4 s (5.4M coatom meets; shared 2-vCPU x86-64 VM, Python 3.11),
+# and the coatom context of 255 ideals needs its empty labels counted
+# without walking them before it can be classified.
 MAX_N = 8
 
 # One partition in bar ("12|3") or brace ("{{1,2},{3}}") notation.
@@ -49,7 +48,7 @@ def bell_number(n: int) -> int:
 class Partition:
     """A set partition of {1..n}, canonical and immutable."""
 
-    __slots__ = ("n", "blocks", "_hash", "_str")
+    __slots__ = ("n", "blocks", "_hash")
 
     def __init__(self, n: int, blocks: Iterable[int]):
         blocks = tuple(sorted(blocks, key=lambda b: b & -b))
@@ -76,7 +75,6 @@ class Partition:
         self.n = n
         self.blocks = blocks
         self._hash = hash((n, blocks))
-        self._str: str | None = None  # display string, filled on first use
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "Partition":
@@ -162,17 +160,15 @@ class Partition:
 
     def shape(self) -> tuple[int, ...]:
         """Block sizes, descending; partitions of equal shape form an orbit."""
-        return tuple(sorted((b.bit_count() for b in self.blocks), reverse=True))
+        return _shape(self.blocks)
 
     def _check_same(self, other: "Partition") -> None:
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
 
     def __str__(self) -> str:
-        if self._str is None:
-            self._str = "|".join("".join(str(i + 1) for i in bits(b))
-                                 for b in self.blocks)
-        return self._str
+        text = _block_strings(self.n)
+        return "|".join([text[b] for b in self.blocks])
 
     def __repr__(self) -> str:
         return f"Partition({self})"
@@ -185,16 +181,36 @@ class Partition:
         return self._hash
 
 
+@cache
+def _block_strings(n: int) -> tuple[str, ...]:
+    """The text of every block over labels 1..n, by block mask ("13" for
+    0b101), from which every partition's display string is joined: the
+    2^(n-1) entries for the blocks holding label n are those of the blocks
+    without it, each followed by the digit n."""
+    if n == 0:
+        return ("",)
+    without = _block_strings(n - 1)
+    return without + tuple([text + str(n) for text in without])
+
+
+def _shape(blocks: tuple[int, ...]) -> tuple[int, ...]:
+    """Block sizes, descending."""
+    return tuple(sorted([b.bit_count() for b in blocks], reverse=True))
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"  # the labels of shape displays
+
+
 def shape_string(shape: tuple[int, ...]) -> str:
     """Orbit-collapsed display of a shape, e.g. (2, 1, 1) -> "ab|c|d"."""
-    letters = iter(string.ascii_lowercase)
+    letters = iter(_LETTERS)
     return "|".join("".join(next(letters) for _ in range(size))
                     for size in shape)
 
 
 def state_shape(shape: tuple[int, ...]) -> str:
     """State-shape display of a shape, e.g. (2, 1) -> "ρ_ab⊗ρ_c"."""
-    letters = iter(string.ascii_lowercase)
+    letters = iter(_LETTERS)
     return "⊗".join("ρ_" + "".join(next(letters) for _ in range(size))
                     for size in shape)
 
@@ -231,30 +247,40 @@ def all_partitions(n: int) -> Iterator[Partition]:
 class PartitionLattice:
     """All partitions of fixed n, indexed, with the refinement order.
 
-    ``pairs[i]`` holds the label pairs sharing a block of partition i, and
-    ζ refines ξ iff the pairs of ζ are among those of ξ, so the order is
-    inclusion of pair masks (:meth:`Poset.by_inclusion`).  The blockwise
-    meet joins exactly the pairs both partitions join, so ``meet_index`` is
-    a lookup on ``pairs[i] & pairs[j]``.
+    ``blocks[i]`` holds the blocks of partition i and ``pairs[i]`` the label
+    pairs sharing a block, both as the restricted-growth walk yields them;
+    no :class:`Partition` is made unless ``partitions`` or ``index`` is
+    read.  ζ refines ξ iff the pairs of ζ are among those of ξ, so the
+    order is inclusion of pair masks (:meth:`Poset.by_inclusion`).  The
+    blockwise meet joins exactly the pairs both partitions join, so
+    ``meet_index`` is a lookup on ``pairs[i] & pairs[j]``.
     """
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
             raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
         self.n = n
-        walk = _blocks_and_pairs(n)
-        self.partitions: tuple[Partition, ...] = tuple(
-            Partition._canonical(n, blocks) for blocks, _ in walk)
-        self.index: dict[Partition, int] = {
-            p: i for i, p in enumerate(self.partitions)}
-        self.pairs: tuple[int, ...] = tuple(pairs for _, pairs in walk)
-        self._by_pairs = {mask: i for i, mask in enumerate(self.pairs)}
-        self.poset = Poset.by_inclusion(self.pairs)
-        self.bottom_index = self.index[Partition.bottom(n)]
-        self.top_index = self.index[Partition.top(n)]
+        blocks, pairs = zip(*_blocks_and_pairs(n))
+        self.blocks: tuple[tuple[int, ...], ...] = blocks
+        self.pairs: tuple[int, ...] = pairs
+        self._by_pairs = {mask: i for i, mask in enumerate(pairs)}
+        self.poset = Poset.by_inclusion(pairs)
+        # the bottom joins no pair of labels, the top every pair
+        self.bottom_index = self._by_pairs[0]
+        self.top_index = self._by_pairs[(1 << n * (n - 1) // 2) - 1]
 
     def __len__(self) -> int:
-        return len(self.partitions)
+        return len(self.pairs)
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        """Each partition as a :class:`Partition`, by index."""
+        return tuple(Partition._canonical(self.n, b) for b in self.blocks)
+
+    @cached_property
+    def index(self) -> dict[Partition, int]:
+        """Each partition's index, by its :class:`Partition`."""
+        return {p: i for i, p in enumerate(self.partitions)}
 
     @property
     def full_mask(self) -> int:
@@ -262,14 +288,15 @@ class PartitionLattice:
 
     @cached_property
     def block_stat_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(by_count, by_largest)``, from one pass over the partitions:
+        """``(by_count, by_largest)``, from one pass over the block sizes:
         ``by_count[k]`` masks the partitions with k blocks and
         ``by_largest[s]`` those whose largest block has s members."""
         by_count = [0] * (self.n + 1)
         by_largest = [0] * (self.n + 1)
-        for i, p in enumerate(self.partitions):
-            by_count[p.parts_count] |= 1 << i
-            by_largest[p.max_part_size] |= 1 << i
+        for i, blocks in enumerate(self.blocks):
+            sizes = _shape(blocks)
+            by_count[len(sizes)] |= 1 << i
+            by_largest[sizes[0]] |= 1 << i
         return tuple(by_count), tuple(by_largest)
 
     def meet_index(self, i: int, j: int) -> int:
@@ -277,11 +304,20 @@ class PartitionLattice:
 
     def names(self, mask: int) -> list[str]:
         """Display strings of the partitions in ``mask``, by index."""
-        return [str(self.partitions[i]) for i in bits(mask)]
+        names = self._names
+        return [names[i] for i in bits(mask)]
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        """The display string of every partition, by index, written as
+        :meth:`Partition.__str__` writes it."""
+        text = _block_strings(self.n)
+        return tuple(["|".join([text[b] for b in blocks])
+                      for blocks in self.blocks])
 
     def shape(self, i: int) -> tuple[int, ...]:
         """Block sizes of partition i, descending."""
-        return self.partitions[i].shape()
+        return _shape(self.blocks[i])
 
     def parse(self, spec: str) -> list[int]:
         """Indices of the partitions an ideal spec lists: a comma-separated

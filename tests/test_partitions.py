@@ -1,9 +1,13 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from corrclass.catalogs import catalog_for, catalog_json
 from corrclass.partitions import (Partition, all_partitions, bell_number,
                                   enumerate_partitions, shape_string,
                                   state_shape)
+from corrclass.poset import bits
 
 
 def P(text, n=None):
@@ -152,6 +156,51 @@ class TestLattice:
     def test_deterministic_enumeration(self):
         assert ([str(p) for p in all_partitions(4)]
                 == [str(p) for p in all_partitions(4)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_facts_match_partition_reference(n):
+    """Names, shapes, block statistics, bottom and top read from the block
+    tuples equal those of the Partition objects, each name written label by
+    label."""
+    lattice = enumerate_partitions(n)
+    ps = lattice.partitions
+    assert lattice.names(lattice.full_mask) == [
+        "|".join("".join(str(a + 1) for a in bits(b)) for b in p.blocks)
+        for p in ps]
+    assert [str(p) for p in ps] == lattice.names(lattice.full_mask)
+    odd = sum(1 << i for i in range(1, len(ps), 2))
+    assert lattice.names(odd) == [str(ps[i]) for i in bits(odd)]
+    assert [lattice.shape(i) for i in range(len(ps))] == [
+        tuple(sorted((b.bit_count() for b in p.blocks), reverse=True))
+        for p in ps]
+    by_count, by_largest = lattice.block_stat_masks
+    assert by_count == tuple(
+        sum(1 << i for i, p in enumerate(ps) if p.parts_count == k)
+        for k in range(n + 1))
+    assert by_largest == tuple(
+        sum(1 << i for i, p in enumerate(ps) if p.max_part_size == s)
+        for s in range(n + 1))
+    assert ps[lattice.bottom_index] == Partition.bottom(n)
+    assert ps[lattice.top_index] == Partition.top(n)
+    assert (lattice.bottom_index == lattice.top_index) == (n == 1)
+
+
+def test_catalog_makes_no_partition_object():
+    """A k_part catalog at n = 7, its JSON and every partition's name come
+    from the block tuples; ``parse`` builds the objects when first called."""
+    with mock.patch.object(Partition, "_canonical",
+                           wraps=Partition._canonical) as made, \
+            mock.patch.object(Partition, "__init__", autospec=True,
+                              side_effect=Partition.__init__) as checked:
+        lattice = enumerate_partitions(7)
+        doc = "".join(catalog_json(catalog_for("k_part", lattice)))
+        names = lattice.names(lattice.full_mask)
+        assert (made.call_count, checked.call_count) == (0, 0)
+        assert '"1|2|3|4|5|6|7"' in doc and names[0] == "1234567"
+        [i] = lattice.parse("{{1,3},{2,4,5,6,7}}")
+        assert lattice.names(1 << i) == ["13|24567"]
+        assert made.call_count == len(lattice) == 877
 
 
 @st.composite
