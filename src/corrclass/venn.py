@@ -25,30 +25,37 @@ class EmbeddingViolation(ValueError):
 
 
 class LabeledFamily:
-    """Subsets of a finite universe, labelled by the elements of a poset."""
+    """Subsets of a finite universe, labelled by the elements of a poset.
 
-    __slots__ = ("universe_size", "labels", "assign")
+    The label order is held as rows, ``above[x]`` being the labels at or
+    above label x; the checks read these rows.  A family made by
+    :meth:`from_subsets` holds only the rows, and its :class:`Poset` is
+    built from the subsets the first time :attr:`labels` is read.
+    """
+
+    __slots__ = ("universe_size", "assign", "above", "_labels")
 
     def __init__(self, universe_size: int, labels: Poset,
                  assign: Sequence[int]):
-        self._fill(universe_size, labels, assign)
+        self._fill(universe_size, assign, labels.above, labels)
         for y in range(labels.m):
             for x in range(labels.m):
                 if labels.leq(y, x) != (self.assign[y] & ~self.assign[x] == 0):
                     raise EmbeddingViolation(
                         f"labels {y}, {x}: order and inclusion disagree")
 
-    def _fill(self, universe_size: int, labels: Poset,
-              assign: Sequence[int]) -> None:
-        if len(assign) != labels.m:
+    def _fill(self, universe_size: int, assign: Sequence[int],
+              above: Sequence[int], labels: Poset | None) -> None:
+        if len(assign) != len(above):
             raise ValueError("one subset per label is required")
         full = (1 << universe_size) - 1
         for a in assign:
             if a < 0 or a & ~full:
                 raise ValueError("subset exceeds the universe")
         self.universe_size = universe_size
-        self.labels = labels
         self.assign = tuple(assign)
+        self.above = above
+        self._labels = labels
 
     @classmethod
     def from_subsets(cls, universe_size: int,
@@ -56,12 +63,30 @@ class LabeledFamily:
         """Derive the label order from inclusion; subsets must be distinct.
 
         The order is inclusion by construction, so it is not re-checked.
+        It is held as inclusion rows, one pairwise pass over the subsets:
+        label y is above label x when subset x lies inside subset y.  The
+        :class:`Poset` is built on the first read of :attr:`labels`.
         """
         if len(set(subsets)) != len(subsets):
             raise EmbeddingViolation("duplicate subsets break antisymmetry")
+        above = []
+        for a in subsets:
+            row = 0
+            for y, b in enumerate(subsets):
+                if not a & ~b:
+                    row |= 1 << y
+            above.append(row)
         fam = object.__new__(cls)
-        fam._fill(universe_size, Poset.by_inclusion(subsets), subsets)
+        fam._fill(universe_size, subsets, above, None)
         return fam
+
+    @property
+    def labels(self) -> Poset:
+        """The label order as a :class:`Poset`, built on first read for a
+        family made by :meth:`from_subsets`."""
+        if self._labels is None:
+            self._labels = Poset.by_inclusion(self.assign)
+        return self._labels
 
     @property
     def universe(self) -> int:
@@ -81,7 +106,7 @@ class LabeledFamily:
         the reference for the nonempty cells that :func:`check_lemma_upset`
         takes from the points' signatures.
         """
-        if label < 0 or label >> self.labels.m:
+        if label < 0 or label >> len(self.assign):
             raise IndexError("label subset has bits outside the label poset")
         points = self.universe
         for x, a in enumerate(self.assign):
@@ -99,7 +124,8 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     point, so the nonempty labels are the distinct signatures, in
     ascending order.  The signatures and the union of the subsets come
     from one pass over the subsets, and a label is up-closed when it holds
-    everything above each of its labels.  When the family covers the
+    everything above each of its labels, read from the family's order rows
+    (``fam.above``), never from a :class:`Poset`.  When the family covers the
     universe, the empty label is also ruled out.  Violations are
     collected, never expected.
     """
@@ -111,7 +137,7 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
             point = a & -a
             signature[point.bit_length() - 1] |= 1 << x
             a ^= point
-    above = fam.labels.above
+    above = fam.above
     violations = []
     nonempty = sorted(set(signature))
     covering = union == fam.universe
@@ -158,14 +184,15 @@ def counterexample_family() -> LabeledFamily:
 
 def random_family(rng: random.Random) -> LabeledFamily:
     """A seeded random family; the label order is induced by inclusion."""
-    # randrange(a, b + 1) is what randint(a, b) calls, so the stream of
-    # families per seed is randint's, one call frame cheaper per draw
-    universe_size = rng.randrange(1, RANDOM_MAX_UNIVERSE + 1)
-    label_count = rng.randrange(
-        1, min(RANDOM_MAX_LABELS, 1 << universe_size) + 1)
+    # randint(a, b) is randrange(a, b + 1), which is a + _randbelow(b + 1 - a),
+    # as is a + randrange(b + 1 - a): the stream of families per seed is
+    # randint's, through one bound method
+    randrange = rng.randrange
+    universe_size = 1 + randrange(RANDOM_MAX_UNIVERSE)
+    label_count = 1 + randrange(min(RANDOM_MAX_LABELS, 1 << universe_size))
     subsets: list[int] = []
     while len(subsets) < label_count:
-        s = rng.randrange(1 << universe_size)
+        s = randrange(1 << universe_size)
         if s not in subsets:
             subsets.append(s)
     return LabeledFamily.from_subsets(universe_size, subsets)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from corrclass import classify as cf
+from corrclass import venn
 from corrclass.cli import EXIT_CAP, EXIT_INVARIANT, EXIT_OK, EXIT_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -388,6 +389,28 @@ class TestVerify:
         assert "PASS venn.random_families (30 families, seed 5)" in out
         assert "PASS venn.generic_three_label" in out
         assert "PASS venn.counterexample" in out
+
+    def test_venn_failure_exits_invariant(self, capsys, monkeypatch):
+        # one random family (the seventh check) reported not ok fails the
+        # random-families line alone
+        check = venn.check_lemma_upset
+        calls = 0
+
+        def one_bad(fam):
+            nonlocal calls
+            calls += 1
+            report = check(fam)
+            return {**report, "ok": False} if calls == 7 else report
+
+        monkeypatch.setattr(venn, "check_lemma_upset", one_bad)
+        code, out, _ = run(capsys, "verify", "--venn", "--families", "30")
+        assert code == EXIT_INVARIANT
+        assert out.splitlines() == [
+            "FAIL venn.random_families (30 families, seed 0)",
+            "PASS venn.generic_three_label",
+            "PASS venn.counterexample",
+        ]
+        assert calls == 30 + 5 + 1
 
     @pytest.mark.parametrize("families", ["0", "-5"])
     def test_families_below_one_is_a_usage_error(self, capsys, families):

@@ -11,7 +11,9 @@ checks read a label's member and complement masks from the context's
 byte tables (``PropertyContext.split``), about one lookup per 8 ideals.
 ``verify --n 8 --context k_prod`` takes about 0.47 s; the linear
 call count of its principal-meet check is pinned in
-``test_pair_masks.py``.
+``test_pair_masks.py``.  ``verify --venn --seed 0 --families 20000``
+takes about 0.14 s: each random family holds its label order as
+inclusion rows and builds no ``Poset``.
 """
 
 import json
@@ -29,6 +31,7 @@ BUDGET_S = 10
 VERIFY_N5_BUDGET_S = 5
 VERIFY_ATOMS_N6_BUDGET_S = 5
 ATOMS_N6_BUDGET_S = 5
+VENN_BUDGET_S = 5
 
 
 def stirling2(n, k):
@@ -116,3 +119,15 @@ def test_atoms_catalog_n6(capsys):
     assert (doc["empty_label_count"] == len(doc["empty_labels"])
             == 2 ** 15 - 1 - 16)
     assert elapsed < ATOMS_N6_BUDGET_S
+
+
+def test_verify_venn_20000_families(capsys):
+    code, out, elapsed = run_timed(capsys, "verify", "--venn", "--seed", "0",
+                                   "--families", "20000")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "PASS venn.random_families (20000 families, seed 0)",
+        "PASS venn.generic_three_label",
+        "PASS venn.counterexample",
+    ]
+    assert elapsed < VENN_BUDGET_S

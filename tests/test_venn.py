@@ -132,9 +132,11 @@ class TestNonemptyCells:
 
     @staticmethod
     def assert_cells_match(fam):
-        assert check_lemma_upset(fam)["nonempty_labels"] == [
+        report = check_lemma_upset(fam)
+        assert report["nonempty_labels"] == [
             label for label in range(1 << fam.labels.m)
             if fam.intersection_class(label)]
+        assert report["covering"] == fam.covering()
 
     def test_random_families(self):
         rng = random.Random(2021)
@@ -148,6 +150,53 @@ class TestNonemptyCells:
     def test_diamond_and_counterexample(self):
         self.assert_cells_match(generic_family(diamond()))
         self.assert_cells_match(counterexample_family())
+
+
+class TestOrderRows:
+    """The order rows ``check_lemma_upset`` reads, against the poset."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_families(self, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            fam = random_family(rng)
+            assert fam.above == fam.labels.above
+
+    def test_generic_diamond_and_counterexample(self):
+        families = [generic_family(p) for p in three_label_posets()]
+        families += [generic_family(diamond()), counterexample_family()]
+        for fam in families:
+            assert fam.above == fam.labels.above
+
+    def test_random_families_build_no_poset(self, monkeypatch):
+        built = []
+        by_inclusion = Poset.by_inclusion
+
+        def counted(masks):
+            built.append(tuple(masks))
+            return by_inclusion(masks)
+
+        monkeypatch.setattr(Poset, "by_inclusion", counted)
+        rng = random.Random(0)
+        for _ in range(2000):
+            fam = random_family(rng)
+            assert check_lemma_upset(fam)["ok"]
+        assert built == []
+        labels = fam.labels
+        assert built == [fam.assign]
+        assert fam.labels is labels and len(built) == 1
+
+    def test_order_other_than_inclusion_is_checked(self):
+        # no constructor makes such a family: the chain 0 <= 1 on two
+        # disjoint subsets, so label 0's point sits outside label 1's set
+        chain = Poset.from_pairs(2, [(0, 1)])
+        fam = object.__new__(LabeledFamily)
+        fam._fill(2, [0b01, 0b10], chain.above, chain)
+        report = check_lemma_upset(fam)
+        assert report["nonempty_labels"] == [0b01, 0b10]
+        assert report["violations"] == [
+            {"label": 0b01, "reason": "not an up-set"}]
+        assert not report["ok"]
 
 
 class TestConverseFails:
