@@ -11,8 +11,7 @@ from .ideals import (Ideal, PropertyContext, atom_context,
                      full_context, k_partitionability_context,
                      k_partitionable_ideal, k_producibility_context,
                      k_producible_ideal, parse_ideal, principal_ideal)
-from .partitions import (Partition, PartitionLattice, all_partitions,
-                         bell_number, enumerate_partitions)
+from .partitions import PartitionLattice, bell_number, enumerate_partitions
 from .poset import CapExceeded, OrderViolation, Poset
 from .venn import (LabeledFamily, check_lemma_upset, counterexample_family,
                    generic_family, random_family, three_label_posets)

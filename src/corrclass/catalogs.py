@@ -152,8 +152,8 @@ def _named_batches(context: PropertyContext, masks: Iterable[int],
     by ascending index and joined by ``sep``, then ``tail``; a one-name
     mask's text is ``single`` of its name.
 
-    Reads each mask 8 bits at a time, over the runs of 8 ideals that
-    ``names_of`` reads, from tables that map a byte to its ideals' names
+    Reads each mask 8 bits at a time, over the context's runs of 8 ideals,
+    from tables that map a byte to its ideals' names
     already joined, each preceded by ``sep``: a label's text is one lookup
     per run, concatenated, with the leading ``sep`` cut (every label has
     an ideal).  The expression reads three runs, all that the walk's cap

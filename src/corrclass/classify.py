@@ -256,14 +256,21 @@ def lemma_principal_check(split: tuple,
     ``split`` (:meth:`PropertyContext.split` of its members).
 
     When the class is nonempty: the ideals of the context containing the
-    filter meet must be exactly the filter, the ideals sinking into the
-    complement join must be exactly the complement, and (when the full
-    ideal universe is supplied) no ideal at all may lie between the two.
-    The filter meet and the complement join are the split's, recomputed
-    from the context's ideal masks.  Every filter ideal contains the meet
-    and every complement ideal lies inside the join, so each identity is
-    tested from its open side only: the first complement ideal containing
-    the meet, or member ideal inside the join, breaks it.
+    filter meet must be exactly the filter, and the ideals sinking into
+    the complement join must be exactly the complement.  The filter meet
+    and the complement join are the split's, recomputed from the
+    context's ideal masks.  Every filter ideal contains the meet and every
+    complement ideal lies inside the join, so each identity is tested from
+    its open side only: the first complement ideal containing the meet, or
+    member ideal inside the join, breaks it.
+
+    When the full ideal universe is supplied, the filter meet, and the
+    complement join unless it is empty, must each be one of its ideals:
+    an intersection or a union of down-sets is a down-set, so a universe
+    that lacks one is not every ideal.  That is the whole content of
+    asking whether some universe ideal I lies between the two, meet ⊆ I ⊆
+    join: the join is such an I whenever meet ⊆ join, and none exists
+    otherwise, so the answer is "the class is empty" on every label.
     """
     member_masks, other_masks, mf, jc, _, _ = split
     exists = mf & ~jc != 0  # the class mask
@@ -281,20 +288,12 @@ def lemma_principal_check(split: tuple,
         "principal_up_matches": up_matches,
         "principal_down_matches": down_matches,
     }
+    ok = not exists or up_matches and down_matches
     if universe is not None:
-        between = False
-        for mask in universe.masks:
-            if mf & ~mask == 0 and mask & ~jc == 0:
-                between = True
-                break
-        report["separated_in_universe"] = not between
-        report["separation_consistent"] = (not between) == exists
-    if exists:
-        report["ok"] = (report["principal_up_matches"]
-                        and report["principal_down_matches"]
-                        and report.get("separation_consistent", True))
-    else:
-        report["ok"] = report.get("separation_consistent", True)
+        report["meet_in_universe"] = universe.has_ideal(mf)
+        report["join_in_universe"] = jc == 0 or universe.has_ideal(jc)
+        ok = ok and report["meet_in_universe"] and report["join_in_universe"]
+    report["ok"] = ok
     return report
 
 

@@ -218,9 +218,6 @@ class PropertyContext:
         if len(self.index) != len(self.ideals):
             raise ValueError("duplicate ideals in context")
         self.poset = Poset.by_inclusion(self.masks)
-        # byte-to-names table of each run of 8 ideals, built on first use
-        self._name_tables: list[tuple[tuple[str, ...], ...] | None] = (
-            [None] * -(-len(self.ideals) // 8))
         # byte-to-entry tables of every run, built by the first split
         self._mask_tables: tuple[tuple[MaskEntry, ...], ...] | None = None
 
@@ -228,29 +225,15 @@ class PropertyContext:
         return len(self.ideals)
 
     def names_of(self, mask: int) -> list[str]:
-        """Display names of the ideals in ``mask``, by ascending index.
+        """Display names of the ideals in ``mask``, by ascending index
+        (each ideal writes its name once and keeps it)."""
+        ideals = self.ideals
+        return [str(ideals[i]) for i in bits(mask)]
 
-        Reads the mask 8 bits at a time from one table per 8 ideals, which
-        maps each byte to the names of its ideals.  A table is built the
-        first time a mask touches its ideals, so a large context pays only
-        for the tables its labels use.
-        """
-        tables = self._name_tables
-        out: list[str] = []
-        chunk = 0
-        while mask:
-            byte = mask & 255
-            if byte:
-                out += (tables[chunk] or self._name_table(chunk))[byte]
-            mask >>= 8
-            chunk += 1
-        return out
-
-    def _name_table(self, chunk: int) -> tuple[tuple[str, ...], ...]:
-        self._name_tables[chunk] = built = _byte_table(
-            list(map(str, self.ideals[8 * chunk:8 * chunk + 8])), (),
-            lambda names, name: names + (name,))
-        return built
+    def has_ideal(self, members: int) -> bool:
+        """Whether some ideal of the context has exactly the member mask
+        ``members``."""
+        return members in self.index
 
     def split(self, members: int) -> tuple[tuple[int, ...], tuple[int, ...],
                                           int, int, int, int]:
@@ -260,8 +243,8 @@ class PropertyContext:
         second (the first such by index; the full mask and 0 if none).
 
         Reads ``members`` and the rest 8 ideals at a time from byte tables:
-        one per run of 8 ideals, the runs :meth:`names_of` reads, which
-        maps each byte to the :data:`MaskEntry` of the ideals it holds.
+        one per run of 8 ideals, which maps each byte to the
+        :data:`MaskEntry` of the ideals it holds.
         The tables are built from ``masks`` alone, all at once, the first
         time the context is split.
         """

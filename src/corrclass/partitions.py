@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property
-from typing import Iterable, Iterator
 
 from .poset import Poset, bits
 
@@ -43,142 +42,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[-1]
-
-
-class Partition:
-    """A set partition of {1..n}, canonical and immutable."""
-
-    __slots__ = ("n", "blocks", "_hash")
-
-    def __init__(self, n: int, blocks: Iterable[int]):
-        blocks = tuple(sorted(blocks, key=lambda b: b & -b))
-        seen = 0
-        for b in blocks:
-            if b <= 0:
-                raise ValueError("empty or negative block")
-            if b & seen:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        if seen != (1 << n) - 1:
-            raise ValueError(f"blocks do not cover 1..{n}")
-        self._set(n, blocks)
-
-    @classmethod
-    def _canonical(cls, n: int, blocks: tuple[int, ...]) -> "Partition":
-        """A partition whose blocks are canonical by construction: nonempty,
-        disjoint, covering 1..n and sorted by least member."""
-        p = object.__new__(cls)
-        p._set(n, blocks)
-        return p
-
-    def _set(self, n: int, blocks: tuple[int, ...]) -> None:
-        self.n = n
-        self.blocks = blocks
-        self._hash = hash((n, blocks))
-
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "Partition":
-        """From blocks given as iterables of 1-based labels."""
-        masks = []
-        for s in sets:
-            mask = 0
-            for lab in s:
-                if not 1 <= lab <= n:
-                    raise ValueError(f"label {lab} outside 1..{n}")
-                mask |= 1 << (lab - 1)
-            masks.append(mask)
-        return cls(n, masks)
-
-    @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "Partition":
-        """Parse "12|3" or "{{1,2},{3}}"; n defaults to the label count."""
-        text = text.strip()
-        if not _NOTATION.fullmatch(text):
-            raise ValueError(f"cannot parse partition from {text!r}")
-        if text.startswith("{"):
-            sets = [[int(t) for t in re.findall(r"\d+", block)]
-                    for block in re.findall(r"\{([^{}]*)\}", text)]
-        else:
-            sets = [[int(ch) for ch in part.strip()]
-                    for part in text.split("|")]
-        if n is None:
-            n = max(lab for s in sets for lab in s)
-        return cls.from_sets(n, sets)
-
-    @classmethod
-    def bottom(cls, n: int) -> "Partition":
-        return cls(n, (1 << i for i in range(n)))
-
-    @classmethod
-    def top(cls, n: int) -> "Partition":
-        return cls(n, ((1 << n) - 1,))
-
-    @property
-    def parts_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def max_part_size(self) -> int:
-        return max(b.bit_count() for b in self.blocks)
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every block of self lies inside a block of other."""
-        self._check_same(other)
-        for y in self.blocks:
-            if not any(y & ~x == 0 for x in other.blocks):
-                return False
-        return True
-
-    def meet(self, other: "Partition") -> "Partition":
-        """Blockwise intersection: the coarsest common refinement."""
-        self._check_same(other)
-        out = [x & y for x in self.blocks for y in other.blocks if x & y]
-        return Partition(self.n, out)
-
-    def join(self, other: "Partition") -> "Partition":
-        """Connected components of the overlap graph of all blocks."""
-        self._check_same(other)
-        parent = list(range(self.n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for block in self.blocks + other.blocks:
-            root = None
-            for i in bits(block):
-                if root is None:
-                    root = find(i)
-                else:
-                    parent[find(i)] = root
-        groups: dict[int, int] = {}
-        for i in range(self.n):
-            groups[find(i)] = groups.get(find(i), 0) | (1 << i)
-        return Partition(self.n, groups.values())
-
-    def shape(self) -> tuple[int, ...]:
-        """Block sizes, descending; partitions of equal shape form an orbit."""
-        return _shape(self.blocks)
-
-    def _check_same(self, other: "Partition") -> None:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-
-    def __str__(self) -> str:
-        text = _block_strings(self.n)
-        return "|".join([text[b] for b in self.blocks])
-
-    def __repr__(self) -> str:
-        return f"Partition({self})"
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Partition)
-                and self.n == other.n and self.blocks == other.blocks)
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @cache
@@ -238,22 +101,17 @@ def _blocks_and_pairs(n: int) -> list[tuple[tuple[int, ...], int]]:
     return level
 
 
-def all_partitions(n: int) -> Iterator[Partition]:
-    """All set partitions of {1..n}, in restricted-growth order."""
-    for blocks, _ in _blocks_and_pairs(n):
-        yield Partition._canonical(n, blocks)
-
-
 class PartitionLattice:
     """All partitions of fixed n, indexed, with the refinement order.
 
     ``blocks[i]`` holds the blocks of partition i and ``pairs[i]`` the label
-    pairs sharing a block, both as the restricted-growth walk yields them;
-    no :class:`Partition` is made unless ``partitions`` or ``index`` is
-    read.  ζ refines ξ iff the pairs of ζ are among those of ξ, so the
-    order is inclusion of pair masks (:meth:`Poset.by_inclusion`).  The
-    blockwise meet joins exactly the pairs both partitions join, so
-    ``meet_index`` is a lookup on ``pairs[i] & pairs[j]``.
+    pairs sharing a block, both as the restricted-growth walk yields them.
+    These two tuples are the only form a partition takes: names are joined
+    from the blocks, and ``parse`` reads a partition into its pair mask.
+    ζ refines ξ iff the pairs of ζ are among those of ξ, so the order is
+    inclusion of pair masks (:meth:`Poset.by_inclusion`).  The blockwise
+    meet joins exactly the pairs both partitions join, so ``meet_index``
+    is a lookup on ``pairs[i] & pairs[j]``.
     """
 
     def __init__(self, n: int):
@@ -271,16 +129,6 @@ class PartitionLattice:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @cached_property
-    def partitions(self) -> tuple[Partition, ...]:
-        """Each partition as a :class:`Partition`, by index."""
-        return tuple(Partition._canonical(self.n, b) for b in self.blocks)
-
-    @cached_property
-    def index(self) -> dict[Partition, int]:
-        """Each partition's index, by its :class:`Partition`."""
-        return {p: i for i, p in enumerate(self.partitions)}
 
     @property
     def full_mask(self) -> int:
@@ -309,8 +157,8 @@ class PartitionLattice:
 
     @cached_property
     def _names(self) -> tuple[str, ...]:
-        """The display string of every partition, by index, written as
-        :meth:`Partition.__str__` writes it."""
+        """The display string of every partition, by index: its blocks in
+        order, each as its labels' digits, joined by bars."""
         text = _block_strings(self.n)
         return tuple(["|".join([text[b] for b in blocks])
                       for blocks in self.blocks])
@@ -327,8 +175,41 @@ class PartitionLattice:
         if not _SPEC_SHAPE.fullmatch(_PARTITION.sub("p", spec)):
             raise ValueError(f"expected a comma-separated list of partitions,"
                              f" got {spec!r}")
-        return [self.index[Partition.parse(tok, self.n)]
+        return [self._by_pairs[self._pair_mask(tok)]
                 for tok in _PARTITION.findall(spec)]
+
+    def _pair_mask(self, token: str) -> int:
+        """The pair mask of one partition in bar or brace notation.  Every
+        label must lie in 1..n, then the blocks must be disjoint, then they
+        must cover 1..n; the first check that fails names the fault."""
+        text = token.strip()
+        if not _NOTATION.fullmatch(text):
+            raise ValueError(f"cannot parse partition from {text!r}")
+        if text.startswith("{"):
+            blocks = [re.findall(r"\d+", block)
+                      for block in re.findall(r"\{([^{}]*)\}", text)]
+        else:
+            blocks = [part.strip() for part in text.split("|")]
+        n = self.n
+        masks = []
+        for block in blocks:
+            mask = 0
+            for label in map(int, block):
+                if not 1 <= label <= n:
+                    raise ValueError(f"label {label} outside 1..{n}")
+                mask |= 1 << label - 1
+            masks.append(mask)
+        seen = pairs = 0
+        for mask in masks:
+            if mask & seen:
+                raise ValueError("blocks are not disjoint")
+            seen |= mask
+            # label i joins the labels of its block below it, as in the walk
+            for i in bits(mask):
+                pairs |= (mask & (1 << i) - 1) << i * (i - 1) // 2
+        if seen != (1 << n) - 1:
+            raise ValueError(f"blocks do not cover 1..{n}")
+        return pairs
 
 
 def enumerate_partitions(n: int) -> PartitionLattice:

@@ -125,9 +125,13 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     ascending order.  The signatures and the union of the subsets come
     from one pass over the subsets, and a label is up-closed when it holds
     everything above each of its labels, read from the family's order rows
-    (``fam.above``), never from a :class:`Poset`.  When the family covers the
-    universe, the empty label is also ruled out.  Violations are
+    (``fam.above``), never from a :class:`Poset`.  Violations are
     collected, never expected.
+
+    The lemma's other half, that a family covering the universe leaves the
+    empty label's cell empty, needs no check: the empty label is a
+    signature only when some point lies in no subset, and then the union
+    misses that point, so the family does not cover.
     """
     signature = [0] * fam.universe_size
     union = 0
@@ -140,16 +144,13 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     above = fam.above
     violations = []
     nonempty = sorted(set(signature))
-    covering = union == fam.universe
     for label in nonempty:
         for x, up in enumerate(above):
             if label >> x & 1 and up & ~label:
                 violations.append({"label": label, "reason": "not an up-set"})
                 break
-        if covering and label == 0:
-            violations.append({"label": label, "reason": "empty label covers"})
     return {
-        "covering": covering,
+        "covering": union == fam.universe,
         "nonempty_labels": nonempty,
         "violations": violations,
         "ok": not violations,

@@ -18,11 +18,13 @@ from corrclass.classify import (class_exists, class_mask, describe_class,
                                 enumerate_filters, make_filter,
                                 lemma_principal_check, type_set)
 from corrclass.ideals import PropertyContext, full_context, principal_ideal
-from corrclass.partitions import Partition, enumerate_partitions
+from corrclass.partitions import enumerate_partitions
 from corrclass.poset import bits
 from corrclass.venn import (check_lemma_upset, counterexample_family,
                             generic_family, random_family,
                             three_label_posets)
+
+from partition_reference import partitions_of
 
 SEED = 20260824
 
@@ -92,10 +94,9 @@ def test_criterion_04_chain_catalogs():
     lattice = enumerate_partitions(4)
     part = catalog_for("k_part", lattice)
     prod = catalog_for("k_prod", lattice)
-    part_types = [[lattice.partitions[i] for i in bits(d.types)]
-                  for d in part.classes]
-    prod_types = [[lattice.partitions[i] for i in bits(d.types)]
-                  for d in prod.classes]
+    ps = partitions_of(lattice)
+    part_types = [[ps[i] for i in bits(d.types)] for d in part.classes]
+    prod_types = [[ps[i] for i in bits(d.types)] for d in prod.classes]
     # bottom-up: the 2-partitionable class is second from the top
     two_part = [t for t in part_types if {p.parts_count for p in t} == {2}]
     ok = ok and len(two_part) == 1 and (
@@ -134,7 +135,7 @@ def test_criterion_05_atom_antichain_computed():
         full = [d for d in cat.classes if len(d.label) == comb(n, 2)]
         ok = ok and len(cat.classes) == comb(n, 2) + 1
         ok = ok and len(singles) == comb(n, 2) and len(full) == 1
-        ok = ok and full[0].types == 1 << lattice.index[Partition.bottom(n)]
+        ok = ok and full[0].types == 1 << lattice.bottom_index
         # every strictly intermediate label is empty
         ok = ok and all(len(d.label) in (1, comb(n, 2)) for d in cat.classes)
     ok = ok and elapsed_ok(t0, 30)

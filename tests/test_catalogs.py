@@ -8,9 +8,10 @@ from corrclass.catalogs import (KINDS, Catalog, catalog_for, catalog_json,
 from corrclass.classify import (ClassDescriptor, Filter, enumerate_filters,
                                 signature_groups)
 from corrclass.ideals import PropertyContext, coatom_context, principal_ideal
-from corrclass.partitions import Partition, bell_number, enumerate_partitions
+from corrclass.partitions import bell_number, enumerate_partitions
 from corrclass.poset import CapExceeded, bits
 
+from partition_reference import Partition, partitions_of
 from test_signature import oracle_types
 
 
@@ -24,7 +25,7 @@ def covered_mask(catalog):
 
 def types_of(catalog, d):
     """The types of one of the catalog's classes, as partitions."""
-    partitions = catalog.context.lattice.partitions
+    partitions = partitions_of(catalog.context.lattice)
     return tuple(partitions[i] for i in bits(d.types))
 
 
@@ -43,7 +44,7 @@ class TestFinest:
         assert len(cat.classes) == 5
         assert len(cat.empties) == 15
         types = {types_of(cat, d) for d in cat.classes}
-        assert types == {(p,) for p in lat3.partitions}
+        assert types == {(p,) for p in partitions_of(lat3)}
 
     def test_all_classes_nonempty(self, lat3):
         cat = catalog_for("full", lat3)
@@ -195,9 +196,8 @@ class TestDispatch:
 
     def test_custom_general(self, lat4):
         ctx = PropertyContext(lat4, [
-            principal_ideal(lat4, lat4.index[Partition.parse("12|34")]),
-            principal_ideal(lat4, lat4.index[Partition.parse("13|24")]),
-            principal_ideal(lat4, lat4.index[Partition.parse("123|4")])])
+            principal_ideal(lat4, i)
+            for i in lat4.parse("12|34, 13|24, 123|4")])
         cat = custom_catalog(ctx)
         assert cat.kind == "custom"
         assert cat.exhaustive

@@ -11,11 +11,11 @@ from corrclass.classify import (ClassDescriptor, Filter, class_exists,
                                 enumerate_filters, lemma_principal_check,
                                 make_filter, meet_members, signature_groups)
 from corrclass.cli import main
-from corrclass.ideals import (atom_context, full_context,
+from corrclass.ideals import (PropertyContext, atom_context, full_context,
                               k_partitionability_context, principal_ideal)
-from corrclass.partitions import Partition
 from corrclass.poset import CapExceeded
 
+from partition_reference import Partition, partitions_of
 from test_signature import assert_catalog_meets_oracle, oracle_types
 
 
@@ -36,9 +36,10 @@ def _full_label_as_first_atom(context):
         yield members, mins, mask
 
 
-def principal_filter(ctx, partition):
-    ideal = principal_ideal(ctx.lattice, ctx.lattice.index[partition])
-    return make_filter(ctx, [ideal])
+def principal_filter(ctx, spec):
+    """The up-closure of the principal ideal of the partition ``spec``."""
+    [i] = ctx.lattice.parse(spec)
+    return make_filter(ctx, [principal_ideal(ctx.lattice, i)])
 
 
 class TestFilter:
@@ -54,27 +55,26 @@ class TestFilter:
             Filter(ctx3, 1 << idx)
 
     def test_make_filter_closes_up(self, ctx3):
-        f = principal_filter(ctx3, Partition.parse("12|3"))
+        f = principal_filter(ctx3, "12|3")
         # everything above the generator, nothing else
         for i, ideal in enumerate(ctx3.ideals):
             in_f = bool((f.members >> i) & 1)
-            holds = bool(ideal.members
-                         >> ctx3.lattice.index[Partition.parse("12|3")] & 1)
+            holds = bool(ideal.members >> ctx3.lattice.parse("12|3")[0] & 1)
             assert in_f == holds
 
     def test_complement_partitions_context(self, ctx3):
-        f = principal_filter(ctx3, Partition.parse("12|3"))
+        f = principal_filter(ctx3, "12|3")
         assert f.members & f.complement == 0
         assert f.members | f.complement == ctx3.poset.full
 
     def test_display_by_minimal_ideals(self, ctx3):
-        f = principal_filter(ctx3, Partition.parse("12|3"))
+        f = principal_filter(ctx3, "12|3")
         assert str(f) == "↑{↓{12|3}}"
 
     def test_principal_filter_size_n3(self, ctx3):
         # ideals containing 12|3: its principal ideal, three two-generator
         # joins... exactly the 5 ideals whose member set includes 12|3
-        f = principal_filter(ctx3, Partition.parse("12|3"))
+        f = principal_filter(ctx3, "12|3")
         assert len(f) == 5
 
 
@@ -84,12 +84,12 @@ class TestExistence:
         verdict = class_exists(f)
         assert verdict.exists
         lattice = ctx3.lattice
-        assert lattice.partitions[verdict.witness] == Partition.bottom(3)
-        assert oracle_types(f) == 1 << lattice.index[Partition.bottom(3)]
+        assert partitions_of(lattice)[verdict.witness] == Partition.bottom(3)
+        assert oracle_types(f) == 1 << lattice.bottom_index
 
     def test_principal_filters_realize_their_partition(self, ctx3):
-        for i, p in enumerate(ctx3.lattice.partitions):
-            f = principal_filter(ctx3, p)
+        for i, p in enumerate(partitions_of(ctx3.lattice)):
+            f = principal_filter(ctx3, str(p))
             assert class_exists(f).exists
             assert oracle_types(f) == 1 << i
 
@@ -101,8 +101,8 @@ class TestExistence:
         assert class_exists(f).exists  # only top's principal ideal is above
         # a genuinely empty one: demand two incomparable principal ideals
         lattice = ctx3.lattice
-        a = principal_ideal(lattice, lattice.index[Partition.parse("12|3")])
-        b = principal_ideal(lattice, lattice.index[Partition.parse("13|2")])
+        a, b = (principal_ideal(lattice, i)
+                for i in lattice.parse("12|3, 13|2"))
         g = make_filter(ctx3, [a, b])
         assert not class_exists(g).exists
         assert oracle_types(g) == 0
@@ -168,6 +168,23 @@ class TestPrincipalIdentities:
             assert lemma_principal_check(ctx.split(f.members),
                                          universe=ip4)["ok"]
 
+    @pytest.mark.parametrize("side", ["meet", "join"])
+    def test_universe_missing_an_ideal_fails(self, lat4, ip4, side):
+        """A universe that lacks a realized label's filter meet or its
+        (nonzero) complement join is not every ideal: the lemma fails."""
+        ctx = k_partitionability_context(lat4)
+        splits = (ctx.split(f.members) for f in enumerate_filters(ctx))
+        # a realized label whose complement is not empty
+        split = next(s for s in splits if s[2] & ~s[3] and s[3])
+        missing = split[2] if side == "meet" else split[3]
+        partial = PropertyContext(lat4, [ideal for ideal in ip4.ideals
+                                         if ideal.members != missing])
+        assert len(partial) == len(ip4) - 1
+        report = lemma_principal_check(split, universe=partial)
+        assert report["exists"] and not report["ok"]
+        assert report[f"{side}_in_universe"] is False
+        assert lemma_principal_check(split, universe=ip4)["ok"]
+
 
 class TestCrossCheck:
     def test_clean_report_n3(self, ctx3):
@@ -201,7 +218,6 @@ class TestCrossCheck:
         assert cross_check(signature_groups(ctx3), []) == []
 
     def test_random_sub_contexts(self, ip4):
-        from corrclass.ideals import PropertyContext
         rng = random.Random(11)
         for _ in range(25):
             chosen = rng.sample(range(len(ip4.ideals)), rng.randint(1, 6))
@@ -212,13 +228,13 @@ class TestCrossCheck:
 
 class TestDescriptors:
     def test_describe_matches_pieces(self, ctx3):
-        f = principal_filter(ctx3, Partition.parse("123"))
+        f = principal_filter(ctx3, "123")
         d = describe_class(f, oracle_types(f))
         assert isinstance(d, ClassDescriptor)
         assert d.mask == meet_members(f) & ~complement_join_members(f)
         assert d.mask == class_exists(f).mask
         assert d.types == oracle_types(f)
-        assert d.types == 1 << ctx3.lattice.index[Partition.parse("123")]
+        assert d.types == 1 << ctx3.lattice.top_index
 
     def test_one_record_per_label(self, ctx3):
         for f in enumerate_filters(ctx3):
@@ -266,7 +282,7 @@ class TestDescriptors:
                             "canonical_generator"}
 
     def test_record_canonical_generator(self, ctx3):
-        f = principal_filter(ctx3, Partition.parse("12|3"))
+        f = principal_filter(ctx3, "12|3")
         rec = class_record(describe_class(f, oracle_types(f)))
         assert rec["canonical_generator"] == "↓{12|3}"
         assert rec["type_set"] == ["12|3"]

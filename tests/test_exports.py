@@ -73,20 +73,29 @@ def imports(path):
     return modules, names
 
 
+def definitions(path):
+    """The names a Python file gives a ``def`` or a ``class``."""
+    return {node.name for node in ast.walk(ast.parse(
+        path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
 def test_classify_names_no_partition():
     """``classify`` reads Level I as masks (the lattice's poset, full mask
-    and size).  ``ideals``, ``catalogs`` and ``cli`` read it through the
-    ``PartitionLattice`` interface, partitions named by ``names`` and
-    parsed by ``parse``, and hold no partition object."""
+    and size).  Every module of the package holds a partition only as an
+    index into ``PartitionLattice``'s block and pair tuples: none defines,
+    imports or reads a partition object or a table of them."""
     path = PACKAGE / "classify.py"
     modules, names = imports(path)
     forbidden = {"Partition", "partitions", "index", "shape",
                  "mask_to_partitions"}
     assert sorted((code_references(path) | modules | names)
                   & forbidden) == []
-    forbidden = {"Partition", "partitions", "mask_to_partitions",
-                 "maximal_partitions"}
-    for name in ("ideals.py", "catalogs.py", "cli.py"):
-        path = PACKAGE / name
-        found = (code_references(path) | imports(path)[1]) & forbidden
-        assert (name, sorted(found)) == (name, [])
+    forbidden = {"Partition", "all_partitions", "partitions",
+                 "mask_to_partitions", "maximal_partitions"}
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "partitions.py" in paths
+    for path in paths:
+        found = ((code_references(path) | imports(path)[1]) & forbidden
+                 | definitions(path) & (forbidden | {"index"}))
+        assert (path.name, sorted(found)) == (path.name, [])

@@ -8,18 +8,21 @@ from corrclass.ideals import (Ideal, atom_context, chain_check_part_prod,
                               k_partitionability_context,
                               k_partitionable_ideal, k_producibility_context,
                               k_producible_ideal, parse_ideal, principal_ideal)
-from corrclass.partitions import Partition, enumerate_partitions
+from corrclass.partitions import enumerate_partitions
 from corrclass.poset import CapExceeded, Poset, bits
+
+from partition_reference import partitions_of
 
 
 def members(lattice, mask):
     """The partitions in ``mask``, by ascending index."""
-    return tuple(lattice.partitions[i] for i in bits(mask))
+    parts = partitions_of(lattice)
+    return tuple(parts[i] for i in bits(mask))
 
 
 def brute_downsets(lattice):
     """Independent enumeration: filter all subsets for down-closedness."""
-    parts = lattice.partitions
+    parts = partitions_of(lattice)
     out = []
     for mask in range(1, 1 << len(parts)):
         ok = True
@@ -48,9 +51,10 @@ class TestIdeal:
             Ideal(lat3, top_only)
 
     def test_principal_contains_exactly_refinements(self, lat4):
-        for i, p in enumerate(lat4.partitions):
+        parts = partitions_of(lat4)
+        for i, p in enumerate(parts):
             ideal = principal_ideal(lat4, i)
-            expected = {q for q in lat4.partitions if q.refines(p)}
+            expected = {q for q in parts if q.refines(p)}
             assert set(members(lat4, ideal.members)) == expected
             assert lat4.poset.maximal(ideal.members) == 1 << i
             assert str(ideal) == f"↓{{{p}}}"
@@ -65,8 +69,8 @@ class TestIdeal:
             assert str(ideal) == str(checked)
 
     def test_display_by_maximal_elements(self, lat3):
-        a = principal_ideal(lat3, lat3.index[Partition.parse("12|3")])
-        b = principal_ideal(lat3, lat3.index[Partition.parse("13|2")])
+        [i, j] = lat3.parse("12|3, 13|2")
+        a, b = principal_ideal(lat3, i), principal_ideal(lat3, j)
         assert str(Ideal(lat3, a.members | b.members)) == "↓{12|3, 13|2}"
 
     def test_cross_lattice_rejected(self, lat3, lat4):
@@ -76,10 +80,9 @@ class TestIdeal:
             a.contains(b)
 
     def test_parse_ideal_roundtrip(self, lat4):
-        a = ideal_from_generators(lat4, [lat4.index[Partition.parse("12|34")],
-                                         lat4.index[Partition.parse("13|24")]])
+        a = ideal_from_generators(lat4, lat4.parse("12|34, 13|24"))
         assert parse_ideal(lat4, str(a)) == a
-        assert parse_ideal(lat4, "12|34, 13|24") == a
+        assert str(a) == "↓{12|34, 13|24}"
 
     @pytest.mark.parametrize("spec", ["{{1,2},{3,4}}, {{1,3},{2,4}}",
                                       "{{{1,2},{3,4}}, {{1,3},{2,4}}}",
@@ -87,8 +90,7 @@ class TestIdeal:
     def test_parse_ideal_notations(self, lat4, spec):
         # brace and bar notation, bare or wrapped, name the same ideal
         assert parse_ideal(lat4, spec) == ideal_from_generators(
-            lat4, [lat4.index[Partition.parse("12|34")],
-                   lat4.index[Partition.parse("13|24")]])
+            lat4, lat4.parse("12|34") + lat4.parse("13|24"))
 
     def test_parse_ideal_down_closes_once(self, lat5):
         closure = Poset.down_closure
@@ -138,10 +140,10 @@ class TestFamilies:
         for k in range(1, n + 1):
             assert set(members(lattice, k_partitionable_ideal(
                 lattice, k).members)) == {
-                p for p in lattice.partitions if p.parts_count >= k}
+                p for p in partitions_of(lattice) if p.parts_count >= k}
             assert set(members(lattice, k_producible_ideal(
                 lattice, k).members)) == {
-                p for p in lattice.partitions if p.max_part_size <= k}
+                p for p in partitions_of(lattice) if p.max_part_size <= k}
 
     def test_k_out_of_range(self, lat4):
         with pytest.raises(ValueError):
@@ -231,8 +233,7 @@ class TestContexts:
         ctx = k_partitionability_context(lat4)
         ideal = k_partitionable_ideal(lat4, 2)
         assert ctx.ideals[ctx.locate(ideal)] == ideal
-        atom = ideal_from_generators(lat4, [lat4.index[
-            Partition.parse("12|3|4")]])
+        atom = ideal_from_generators(lat4, lat4.parse("12|3|4"))
         with pytest.raises(KeyError):
             ctx.locate(atom)
 

@@ -80,18 +80,16 @@ def reference_lemma(f, universe=None):
         "principal_up_matches": up_in_context == f.members,
         "principal_down_matches": down_in_context == f.complement,
     }
+    ok = not exists or (report["principal_up_matches"]
+                        and report["principal_down_matches"])
     if universe is not None:
-        between = any(
-            mf & ~ideal.members == 0 and ideal.members & ~jc == 0
-            for ideal in universe.ideals)
-        report["separated_in_universe"] = not between
-        report["separation_consistent"] = (not between) == exists
-    if exists:
-        report["ok"] = (report["principal_up_matches"]
-                        and report["principal_down_matches"]
-                        and report.get("separation_consistent", True))
-    else:
-        report["ok"] = report.get("separation_consistent", True)
+        report["meet_in_universe"] = any(
+            ideal.members == mf for ideal in universe.ideals)
+        report["join_in_universe"] = jc == 0 or any(
+            ideal.members == jc for ideal in universe.ideals)
+        ok = (ok and report["meet_in_universe"]
+              and report["join_in_universe"])
+    report["ok"] = ok
     return report
 
 
@@ -241,7 +239,8 @@ def test_corrupt_table_entry_fails_verify(monkeypatch, capsys):
 
 def test_verify_builds_tables_once_per_context(monkeypatch, capsys):
     """``verify --n 4`` splits the labels of four contexts (k_part,
-    k_prod, atoms, coatoms); the ideal universe is scanned, never split."""
+    k_prod, atoms, coatoms); the ideal universe is looked up, never
+    split."""
     build = ideals.PropertyContext._build_mask_tables
     built = []
 

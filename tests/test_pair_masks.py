@@ -3,10 +3,10 @@
 ``PartitionLattice`` derives its order from pair masks and its meet from
 ``pairs[i] & pairs[j]``.  These tests rebuild the order from
 ``Partition.refines`` and the meet and join from ``Partition.meet`` and
-``Partition.join`` (kept here only as the reference), rebuild the pair
-masks label by label, pin the n = 7 CLI outputs recorded before the pair
-masks and the n = 8 ones recorded before the one-walk build, and check
-that a wrong meet fails ``verify``.  ``Poset.by_inclusion`` builds every
+``Partition.join`` (the test-side reference in ``partition_reference``),
+rebuild the pair masks label by label, pin the n = 7 CLI outputs recorded
+before the pair masks and the n = 8 ones recorded before the one-walk
+build, and check that a wrong meet fails ``verify``.  ``Poset.by_inclusion`` builds every
 inclusion order without ``Poset._validate``; the validated path is run
 here instead, on each such order the CLI builds, and so are the covers.
 """
@@ -21,11 +21,12 @@ from corrclass import ideals as idl
 from corrclass.catalogs import class_record, class_report_jsonl
 from corrclass.classify import Filter, describe_class, enumerate_filters
 from corrclass.cli import EXIT_INVARIANT, EXIT_OK, main
-from corrclass.partitions import (Partition, PartitionLattice, all_partitions,
-                                  bell_number, enumerate_partitions)
+from corrclass.partitions import (PartitionLattice, bell_number,
+                                  enumerate_partitions)
 from corrclass.poset import CapExceeded, OrderViolation, Poset, bits
 from corrclass.venn import LabeledFamily
 
+from partition_reference import all_partitions, partitions_of
 from test_poset import brute_covers
 from test_signature import oracle_types
 
@@ -45,15 +46,17 @@ def pair_mask(blocks):
 def test_walk_matches_pair_mask_and_validation(n):
     lattice = enumerate_partitions(n)
     assert len(lattice) == bell_number(n)
-    assert list(all_partitions(n)) == list(lattice.partitions)
-    for p, pairs in zip(lattice.partitions, lattice.pairs, strict=True):
-        assert Partition(n, p.blocks).blocks == p.blocks
+    ps = partitions_of(lattice)
+    assert list(all_partitions(n)) == list(ps)
+    for p, blocks, pairs in zip(ps, lattice.blocks, lattice.pairs,
+                                strict=True):
+        assert p.blocks == blocks
         assert pairs == pair_mask(p.blocks)
 
 
 def refines_relation(lattice):
     """below[i] from the quadratic Partition.refines loop."""
-    ps = lattice.partitions
+    ps = partitions_of(lattice)
     below = [0] * len(ps)
     for i, xi in enumerate(ps):
         for j, zeta in enumerate(ps):
@@ -129,7 +132,8 @@ def test_meet_join_match_partitions(n):
     # the meet on every pair, since verify checks it only on coatom pairs;
     # the join to n = 5
     lattice = enumerate_partitions(n)
-    ps, index = lattice.partitions, lattice.index
+    ps = partitions_of(lattice)
+    index = {p: i for i, p in enumerate(ps)}
     for i, a in enumerate(ps):
         for j, b in enumerate(ps):
             assert lattice.meet_index(i, j) == index[a.meet(b)]
@@ -151,7 +155,7 @@ def test_principal_meet_check_matches_quadratic(n):
     rep = idl.principal_meet_check(lattice)
     assert rep["ok"] is quadratic_meets_ok(lattice) is True
     # the coatoms are the two-block partitions
-    bipartitions = sum(p.parts_count == 2 for p in lattice.partitions)
+    bipartitions = sum(p.parts_count == 2 for p in partitions_of(lattice))
     assert rep["coatoms"] == bipartitions == (2 ** (n - 1) - 1 if n > 1 else 0)
 
 
@@ -159,7 +163,7 @@ def coatom_pair_mutations(lattice):
     """Wrong meets, each wrong on some pair that holds a coatom."""
     right = lattice.meet_index
     bottom, top = lattice.bottom_index, lattice.top_index
-    coatom = max(i for i, p in enumerate(lattice.partitions)
+    coatom = max(i for i, p in enumerate(partitions_of(lattice))
                  if p.parts_count == 2)
     other = next(i for i in range(len(lattice))
                  if not lattice.poset.leq(i, coatom))

@@ -29,6 +29,8 @@ from corrclass.ideals import (PropertyContext, enumerate_ideals,
 from corrclass.partitions import enumerate_partitions, state_shape
 from corrclass.poset import Poset, bits
 
+from partition_reference import partitions_of
+
 # sha256 of `corrclass classify --n 6 --context atoms --output json` stdout
 ATOMS_6_SHA256 = ("bdda89e7f568abdb1b4fe77a42ae2c76398075dfe4622dc87067c3f"
                   "b8085a094")
@@ -50,7 +52,7 @@ def empty_label_name(catalog, mins) -> str:
 
 def reference_class(catalog, d) -> dict:
     """A class's record, its partitions read off the lattice by index."""
-    partitions = catalog.context.lattice.partitions
+    partitions = partitions_of(catalog.context.lattice)
     types = [partitions[i] for i in bits(d.types)]
     shapes = sorted({p.shape() for p in types}, reverse=True)
     return {
