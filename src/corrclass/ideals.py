@@ -218,6 +218,10 @@ class PropertyContext:
         if len(self.index) != len(self.ideals):
             raise ValueError("duplicate ideals in context")
         self.poset = Poset.by_inclusion(self.masks)
+        # constants of every split, read once here
+        self._lattice_size = len(lattice)
+        self._lattice_full = lattice.full_mask
+        self._full = self.poset.full
         # byte-to-entry tables of every run, built by the first split
         self._mask_tables: tuple[tuple[MaskEntry, ...], ...] | None = None
 
@@ -246,15 +250,17 @@ class PropertyContext:
         one per run of 8 ideals, which maps each byte to the
         :data:`MaskEntry` of the ideals it holds.
         The tables are built from ``masks`` alone, all at once, the first
-        time the context is split.
+        time the context is split.  The lattice's size and full mask and
+        the context's full mask are read from ``_lattice_size``,
+        ``_lattice_full`` and ``_full``, set once by ``__init__``.
         """
         tables = self._mask_tables or self._build_mask_tables()
-        others = self.poset.full & ~members
+        others = self._full & ~members
         inside: tuple[int, ...] = ()
         outside: tuple[int, ...] = ()
-        meet = smallest = self.lattice.full_mask
+        meet = smallest = self._lattice_full
         join = largest = 0
-        smallest_size, largest_size = len(self.lattice), 0
+        smallest_size, largest_size = self._lattice_size, 0
         for table in tables:
             masks, run_meet, _, small, _ = table[members & 255]
             inside += masks
@@ -273,7 +279,7 @@ class PropertyContext:
         return inside, outside, meet, join, smallest, largest
 
     def _build_mask_tables(self) -> tuple[tuple[MaskEntry, ...], ...]:
-        full = self.lattice.full_mask
+        full = self._lattice_full
         self._mask_tables = built = tuple(
             _byte_table(self.masks[start:start + 8], ((), full, 0, full, 0),
                         _add_mask)

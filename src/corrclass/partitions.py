@@ -31,6 +31,8 @@ _NOTATION = re.compile(
 _PARTITION = re.compile(r"\{\s*(?:\{[^{}]*\}[\s,]*)+\}|[^\s,{}][^,{}]*")
 # The spec with each partition replaced by "p": a list, bare or braced.
 _SPEC_SHAPE = re.compile(r"[\s,]*(?:p[\s,]*)+|\{[\s,]*(?:p[\s,]*)+\}")
+# Digits of an out-of-range label that its error echoes, at most.
+_LABEL_ECHO = 20
 
 
 def bell_number(n: int) -> int:
@@ -191,10 +193,22 @@ class PartitionLattice:
         else:
             blocks = [part.strip() for part in text.split("|")]
         n = self.n
+        width = len(str(n))
         masks = []
         for block in blocks:
             mask = 0
-            for label in map(int, block):
+            for digits in block:
+                if len(digits) > width:
+                    # a label with more significant digits than n is past
+                    # n: refused here, before int() can refuse it for
+                    # passing the interpreter's digit limit
+                    digits = digits.lstrip("0") or "0"
+                    if len(digits) > width:
+                        if len(digits) > _LABEL_ECHO:
+                            digits = (f"{digits[:_LABEL_ECHO]}…"
+                                      f" ({len(digits)} digits)")
+                        raise ValueError(f"label {digits} outside 1..{n}")
+                label = int(digits)
                 if not 1 <= label <= n:
                     raise ValueError(f"label {label} outside 1..{n}")
                 mask |= 1 << label - 1

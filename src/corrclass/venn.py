@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .poset import Poset, bits
 
@@ -125,8 +125,9 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     ascending order.  The signatures and the union of the subsets come
     from one pass over the subsets, and a label is up-closed when it holds
     everything above each of its labels, read from the family's order rows
-    (``fam.above``), never from a :class:`Poset`.  Violations are
-    collected, never expected.
+    of the label's own set bits (``fam.above[x]`` for each label x in
+    it), never from a :class:`Poset`.  Violations are collected, never
+    expected.
 
     The lemma's other half, that a family covering the universe leaves the
     empty label's cell empty, needs no check: the empty label is a
@@ -145,10 +146,14 @@ def check_lemma_upset(fam: LabeledFamily) -> dict:
     violations = []
     nonempty = sorted(set(signature))
     for label in nonempty:
-        for x, up in enumerate(above):
-            if label >> x & 1 and up & ~label:
+        # poset.bits inlined: its generator costs more than the test
+        rest = label
+        while rest:
+            low = rest & -rest
+            if above[low.bit_length() - 1] & ~label:
                 violations.append({"label": label, "reason": "not an up-set"})
                 break
+            rest ^= low
     return {
         "covering": union == fam.universe,
         "nonempty_labels": nonempty,
@@ -183,17 +188,32 @@ def counterexample_family() -> LabeledFamily:
     return LabeledFamily.from_subsets(4, [0b0011, 0b0101, 0b1010])
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from 0..n-1 (n >= 1), by CPython's rule for
+    ``randrange(n)``: ``k = n.bit_length()`` bits, redrawn while the draw
+    is at least n."""
+    # The rule is Random._randbelow_with_getrandbits, read alike in the
+    # random.py of CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.  randint(a, b)
+    # is a + _randbelow(b + 1 - a), so for random.Random the stream of
+    # families per seed is randint's.  A subclass that overrides random()
+    # but not getrandbits draws its own randrange from random(), and so
+    # differently from this.
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_family(rng: random.Random) -> LabeledFamily:
     """A seeded random family; the label order is induced by inclusion."""
-    # randint(a, b) is randrange(a, b + 1), which is a + _randbelow(b + 1 - a),
-    # as is a + randrange(b + 1 - a): the stream of families per seed is
-    # randint's, through one bound method
-    randrange = rng.randrange
-    universe_size = 1 + randrange(RANDOM_MAX_UNIVERSE)
-    label_count = 1 + randrange(min(RANDOM_MAX_LABELS, 1 << universe_size))
+    getrandbits = rng.getrandbits
+    universe_size = 1 + _below(getrandbits, RANDOM_MAX_UNIVERSE)
+    label_count = 1 + _below(getrandbits,
+                             min(RANDOM_MAX_LABELS, 1 << universe_size))
     subsets: list[int] = []
     while len(subsets) < label_count:
-        s = randrange(1 << universe_size)
+        s = _below(getrandbits, 1 << universe_size)
         if s not in subsets:
             subsets.append(s)
     return LabeledFamily.from_subsets(universe_size, subsets)

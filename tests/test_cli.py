@@ -149,6 +149,18 @@ class TestClassify:
                         " got '12|3 {13|2}'"),
         ("1234", "label 4 outside 1..3"),
         ("12|3|3", "blocks are not disjoint"),
+        # a label is read past leading zeros, and one of more digits than
+        # n is refused before int() meets the interpreter's digit limit
+        pytest.param("{{1,2},{3,0009}}", "label 9 outside 1..3",
+                     id="zero_padded"),
+        pytest.param("{{1,2},{3,10}}", "label 10 outside 1..3",
+                     id="two_digits"),
+        pytest.param("{{1,2},{3,000}}", "label 0 outside 1..3", id="zeros"),
+        pytest.param("{{1,2},{3,%s9}}" % ("0" * 4999), "label 9 outside 1..3",
+                     id="zero_padded_5000_digits"),
+        pytest.param("{{1,2},{3,%s}}" % ("9" * 5000),
+                     "label %s… (5000 digits) outside 1..3" % ("9" * 20),
+                     id="label_of_5000_digits"),
     ])
     def test_custom_context_rejected_line(self, capsys, tmp_path, line,
                                           message):

@@ -14,6 +14,19 @@ def diamond():
     return Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
+def randint_family(rng):
+    """The universe size and subsets of a random family, drawn by randint."""
+    universe_size = rng.randint(1, RANDOM_MAX_UNIVERSE)
+    label_count = rng.randint(1, min(RANDOM_MAX_LABELS, 1 << universe_size))
+    full = (1 << universe_size) - 1
+    subsets = []
+    while len(subsets) < label_count:
+        s = rng.randint(0, full)
+        if s not in subsets:
+            subsets.append(s)
+    return universe_size, tuple(subsets)
+
+
 class TestLabeledFamily:
     def test_rejects_order_inclusion_mismatch(self):
         chain = Poset.from_pairs(2, [(0, 1)])
@@ -125,6 +138,23 @@ class TestUpsetLemma:
                 fam = random_family(drawn)
                 assert (fam.universe_size, fam.assign) == reference(expected)
 
+    def test_random_families_draw_through_getrandbits(self, monkeypatch):
+        # the same families as randint's, with neither randrange nor
+        # randint left to call
+        expected_rng = random.Random(11)
+        expected = [randint_family(expected_rng) for _ in range(2000)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("random_family called a Random method"
+                                 " other than getrandbits")
+
+        monkeypatch.setattr(random.Random, "randrange", refused)
+        monkeypatch.setattr(random.Random, "randint", refused)
+        drawn = random.Random(11)
+        for want in expected:
+            fam = random_family(drawn)
+            assert (fam.universe_size, fam.assign) == want
+
 
 class TestNonemptyCells:
     """The cells ``check_lemma_upset`` takes from the points' signatures,
@@ -196,6 +226,18 @@ class TestOrderRows:
         assert report["nonempty_labels"] == [0b01, 0b10]
         assert report["violations"] == [
             {"label": 0b01, "reason": "not an up-set"}]
+        assert not report["ok"]
+
+    def test_violation_at_the_labels_highest_bit(self):
+        # label 2 lies below label 1, and the cell {0, 2} misses label 1:
+        # its lowest bit's row stays inside the label, its highest does not
+        order = Poset.from_pairs(3, [(2, 1)])
+        fam = object.__new__(LabeledFamily)
+        fam._fill(2, [0b01, 0b10, 0b01], order.above, order)
+        report = check_lemma_upset(fam)
+        assert report["nonempty_labels"] == [0b010, 0b101]
+        assert report["violations"] == [
+            {"label": 0b101, "reason": "not an up-set"}]
         assert not report["ok"]
 
 
