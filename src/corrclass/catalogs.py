@@ -21,11 +21,11 @@ from .classify import (EXHAUSTIVE_CONTEXT_MAX, ClassDescriptor, Filter,
                        class_exists, cross_check, describe_class, enumerable,
                        enumerate_filters, label_name, label_walk,
                        signature_groups)
-from .ideals import (PropertyContext, _byte_table, atom_context,
-                     coatom_context, enumerate_ideals,
-                     k_partitionability_context, k_producibility_context)
+from .ideals import (PropertyContext, atom_context, coatom_context,
+                     enumerate_ideals, k_partitionability_context,
+                     k_producibility_context)
 from .partitions import PartitionLattice, shape_string, state_shape
-from .poset import bits
+from .poset import _byte_table, bits
 
 LABEL_BATCH = 512  # empty labels per chunk of catalog_json and catalog_jsonl
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode  # JSON lines
@@ -98,7 +98,10 @@ def signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     agree gets no record, and any other gets its
     :func:`classify.class_exists` record from the walked mask.
     :func:`classify.cross_check` holds each class's and each such record's
-    verdict, class mask and witness to its group.
+    verdict, class mask and witness to its group.  The walk hands out its
+    labels a list at a time, and each list is read by two comprehensions:
+    one keeps the empty labels' minimal masks, the other makes the records
+    of the labels whose mask is not their group.
     """
     groups = signature_groups(context)
     if kind == "finest":
@@ -118,13 +121,14 @@ def signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     empties = array("I")
     disagreeing: list[ClassDescriptor] = []  # walked mask is not the group
     if exhaustive:
-        for members, mins, mask in label_walk(context):
-            group = groups.get(members, 0)
-            if not group:
-                empties.append(mins)
-            if mask != group:
-                disagreeing.append(class_exists(
-                    Filter._walked(context, members, mask)))
+        for labels in label_walk(context):
+            empties.extend([mins for members, mins, _ in labels
+                            if members not in groups])
+            disagreeing += [
+                class_exists(Filter._walked(context, members, mask))
+                for members, _, mask in labels
+                if mask != groups.get(members, 0)]
+            del labels  # one list alive at a time: the walk reuses its tuples
     discrepancies = cross_check(groups, classes + disagreeing)
     return Catalog(kind, context, classes, empties, exhaustive, discrepancies)
 

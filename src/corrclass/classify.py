@@ -234,10 +234,13 @@ def check_enumerable(context: PropertyContext,
             f" <= {EXHAUSTIVE_CONTEXT_MAX}")
 
 
-def label_walk(context: PropertyContext) -> Iterator[tuple[int, int, int]]:
+def label_walk(
+        context: PropertyContext) -> Iterator[list[tuple[int, int, int]]]:
     """The walk over every label of the context, in :meth:`Poset.upsets`
-    order, as ``(members, minimal mask, class mask)``.  Refuses a context
-    too large to enumerate before any label is walked."""
+    order, in lists of ``(members, minimal mask, class mask)``: one list
+    per set of the labels' ideals before the walk's last 8
+    (:meth:`Poset.weighted_upsets`).  Refuses a context too large to
+    enumerate before any label is walked."""
     check_enumerable(context)
     return context.poset.weighted_upsets(context.masks,
                                          context.lattice.full_mask)
@@ -246,8 +249,9 @@ def label_walk(context: PropertyContext) -> Iterator[tuple[int, int, int]]:
 def enumerate_filters(context: PropertyContext) -> Iterator[Filter]:
     """Stream every filter of the context in :meth:`Poset.upsets` order,
     each with the class mask carried by the walk."""
-    for members, _, mask in label_walk(context):
-        yield Filter._walked(context, members, mask)
+    for labels in label_walk(context):
+        for members, _, mask in labels:
+            yield Filter._walked(context, members, mask)
 
 
 def lemma_principal_check(split: tuple,

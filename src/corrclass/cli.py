@@ -68,7 +68,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         labels = [str(i) for i in ip.ideals]
     else:  # "III"
         context = idl.enumerate_ideals(lattice)
-        walk = list(cf.label_walk(context))
+        walk = [label for labels in cf.label_walk(context)
+                for label in labels]
         poset = Poset.by_inclusion([members for members, _, _ in walk])
         labels = [cf.label_name(context.names_of(mins))
                   for _, mins, _ in walk]

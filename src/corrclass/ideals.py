@@ -7,10 +7,10 @@ display names an ideal by its maximal elements, e.g. "↓{12|3, 13|2}".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable
 
 from .partitions import PartitionLattice
-from .poset import CapExceeded, Poset, bits
+from .poset import CapExceeded, Poset, _byte_table, bits
 
 FULL_ENUMERATION_MAX_N = 4  # down-set counts explode past the 15-element lattice
 
@@ -294,17 +294,6 @@ class PropertyContext:
 
     def is_chain(self) -> bool:
         return self.poset.is_chain(self.poset.full)
-
-
-def _byte_table(run: Sequence, empty: Any,
-                add: Callable[[Any, Any], Any]) -> tuple:
-    """For each byte over ``run``, ``add`` folded over its items in
-    ascending order from ``empty``; each entry extends an earlier one."""
-    table = [empty]
-    for byte in range(1, 1 << len(run)):
-        high = byte.bit_length() - 1
-        table.append(add(table[byte ^ (1 << high)], run[high]))
-    return tuple(table)
 
 
 def _add_mask(entry: MaskEntry, mask: int) -> MaskEntry:

@@ -7,7 +7,10 @@ predecessor masks: ``below[i]`` has bit j set iff j <= i.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+TAIL = 8  # the walk's last elements, read from one table of their sets
 
 
 class OrderViolation(ValueError):
@@ -32,6 +35,58 @@ def _transpose(rows: Sequence[int], size: int) -> list[int]:
     for i, row in enumerate(rows):
         for j in bits(row):
             out[j] |= 1 << i
+    return out
+
+
+def _byte_table(run: Sequence, empty: Any,
+                add: Callable[[Any, Any], Any]) -> tuple:
+    """For each byte over ``run``, ``add`` folded over its items in
+    ascending order from ``empty``; each entry extends an earlier one."""
+    table = [empty]
+    for byte in range(1, 1 << len(run)):
+        high = byte.bit_length() - 1
+        table.append(add(table[byte ^ (1 << high)], run[high]))
+    return tuple(table)
+
+
+def _tail_table(tail: list[int], strict: dict[int, int],
+                weights: Sequence[int], top: int
+                ) -> list[tuple[int, int, int, int] | None]:
+    """For each byte over ``tail``, the subset S of ``tail`` it holds as
+    ``(S, need, cell, extremal)`` if S is closed under ``strict`` within
+    the tail, else ``None``.  ``need`` is what S forces in before the
+    tail, ``cell`` is ``top`` ANDed with the weights over S minus the
+    weights over the rest of the tail, and ``extremal`` holds the members
+    of S that nothing in S forces in.
+
+    Tail element i is byte bit ``len(tail) - 1 - i``, so ascending byte
+    order is the walk's order, absent before present.  Four folds over
+    the bytes give the members, what they force in, the AND of their
+    weights and the OR of their weights, the last read at the complement
+    byte.
+    """
+    run = tail[::-1]
+    members = _byte_table([1 << e for e in run], 0, or_)
+    forced = _byte_table([strict[e] for e in run], 0, or_)
+    weight = [weights[e] for e in run]
+    ands = _byte_table(weight, top, and_)
+    ors = _byte_table(weight, 0, or_)
+    last = len(members) - 1
+    inside = members[last]
+    return [None if f & inside & ~s else
+            (s, f & ~inside, ands[byte] & ~ors[byte ^ last], s & ~f)
+            for byte, (s, f) in enumerate(zip(members, forced))]
+
+
+def _within(table: list, allowed: int) -> list:
+    """The entries of a :func:`_tail_table` at the bytes inside
+    ``allowed``, by ascending byte."""
+    out = [table[0]]
+    byte = 0
+    while byte != allowed:
+        byte = (byte - allowed) & allowed  # the next byte inside allowed
+        if (entry := table[byte]) is not None:
+            out.append(entry)
     return out
 
 
@@ -268,8 +323,9 @@ class Poset:
 
     def downsets(self) -> Iterator[int]:
         """Stream all nonempty down-sets, in a deterministic order."""
-        for q, *_ in self._closed_sets(self.below, self.linear_extension()):
-            yield q
+        for sets in self._closed_sets(self.below, self.linear_extension()):
+            for q, _, _ in sets:
+                yield q
 
     def upsets(self) -> Iterator[int]:
         """Stream all nonempty up-sets; the dual of :meth:`downsets`.
@@ -278,15 +334,17 @@ class Poset:
         :meth:`upset_order`, absent before present; the empty up-set, left
         out, would come first.
         """
-        for q, *_ in self._closed_sets(self.above, self.upset_order()):
-            yield q
+        for sets in self._closed_sets(self.above, self.upset_order()):
+            for q, _, _ in sets:
+                yield q
 
-    def weighted_upsets(self, weights: Sequence[int],
-                        top: int) -> Iterator[tuple[int, int, int]]:
-        """The nonempty up-sets U in :meth:`upsets` order, each as
+    def weighted_upsets(self, weights: Sequence[int], top: int
+                        ) -> Iterator[list[tuple[int, int, int]]]:
+        """The nonempty up-sets U in :meth:`upsets` order, in lists of
         ``(U, minimal(U), cell)``: ``cell`` is ``top`` ANDed with
         ``weights[e]`` for every e in U, minus ``weights[e]`` for every e
-        outside U."""
+        outside U.  A list holds the up-sets that share their elements
+        before the last 8 of :meth:`upset_order` (:meth:`_closed_sets`)."""
         return self._closed_sets(self.above, self.upset_order(), weights, top)
 
     def upset_order(self) -> list[int]:
@@ -295,31 +353,51 @@ class Poset:
         return sorted(range(self.m), key=lambda i: (self.above[i].bit_count(), i))
 
     def _closed_sets(self, rel: list[int], order: list[int],
-                     weights: Sequence[int] | None = None,
-                     top: int = 0) -> Iterator[tuple[int, int, int]]:
+                     weights: Sequence[int] | None = None, top: int = 0
+                     ) -> Iterator[list[tuple[int, int, int]]]:
         """The one walk over the nonempty sets closed under ``rel``
-        (``rel[e]`` is what e forces in), as ``(members, extremal, cell)``.
+        (``rel[e]`` is what e forces in), as lists of
+        ``(members, extremal, cell)``.
 
-        ``extremal`` holds the members no other member forces in, and
-        ``cell`` is ``top`` ANDed with the members' weights, minus the
-        non-members' weights.  The meet and join behind the cell are each
-        updated by one operation per step, so a set costs O(1) big-int
-        operations however large.
+        The sets are lexicographic over membership of the elements taken
+        in ``order``, absent before present.  ``extremal`` holds the
+        members no other member forces in, and ``cell`` is ``top`` ANDed
+        with the members' weights, minus the non-members' weights.
+
+        The walk is cut before the last ``TAIL`` elements of ``order``.
+        The elements before the cut are walked depth-first, one set of
+        them (a prefix) at a time; the sets of the tail come from one
+        table (:func:`_tail_table`), built when the walk starts and
+        dropped when it ends.  Each prefix yields one list: the prefix
+        joined with each tail entry whose forced-in elements it holds.
+        The entries a prefix admits depend only on which tail elements
+        it allows, so each such choice is filtered once.  A set costs one
+        tuple and O(1) big-int operations however large.
         """
         if weights is None:
             weights = [0] * self.m
         strict = {e: rel[e] & ~(1 << e) for e in order}
-        # Depth-first over the linear extension; at each element the
-        # exclude-branch precedes the include-branch.  A popped branch
-        # follows exclude-branches down to its set and stacks each
+        cut = max(len(order) - TAIL, 0)
+        tail = order[cut:]
+        table = _tail_table(tail, strict, weights, top)
+        # the tail elements, as byte bits, that each prefix requirement
+        # allows; a prefix admits the entries inside what it allows
+        head = sum(1 << e for e in order[:cut])
+        needs: dict[int, int] = {}
+        for i, e in enumerate(tail):
+            need = strict[e] & head
+            needs[need] = needs.get(need, 0) | 1 << len(tail) - 1 - i
+        admitted: dict[int, list[tuple[int, int, int, int]]] = {}
+        # Depth-first over the prefix; at each element the exclude-branch
+        # precedes the include-branch.  A popped branch follows
+        # exclude-branches down to its prefix and stacks each
         # include-branch it passes, so only include-branches are stacked.
         # The element taken in is extremal in the set: what it forces in
-        # was taken before it.  The first set reached is the empty one.
-        last = len(order)
+        # was taken before it.  The first prefix reached is the empty one.
         stack = [(0, 0, 0, top, 0)]
         while stack:
             t, acc, ext, meet, join = stack.pop()
-            while t < last:
+            while t < cut:
                 e = order[t]
                 s = strict[e]
                 t += 1
@@ -328,8 +406,19 @@ class Poset:
                     stack.append((t, acc | bit, ext & ~s | bit,
                                   meet & weights[e], join))
                 join |= weights[e]
-            if acc:
-                yield acc, ext, meet & ~join
+            allowed = 0
+            for need, tail_bits in needs.items():
+                if need & acc == need:
+                    allowed |= tail_bits
+            fit = admitted.get(allowed)
+            if fit is None:
+                fit = admitted[allowed] = _within(table, allowed)
+            cell = meet & ~join
+            if not acc:
+                fit = fit[1:]  # the empty set
+            if fit:
+                yield [(acc | part, ext & ~need | low, cell & tail_cell)
+                       for part, need, tail_cell, low in fit]
 
     def is_chain(self, q: int) -> bool:
         """True iff every pair of elements of q is comparable."""

@@ -30,10 +30,13 @@ _label_walk = catalogs.label_walk
 def _full_label_as_first_atom(context):
     """The catalog's label walk, with the full label carrying the first
     atom label's class mask."""
-    for members, mins, mask in _label_walk(context):
-        if members == context.poset.full:
-            mask = Filter(context, 1).mask
-        yield members, mins, mask
+    for labels in _label_walk(context):
+        out = []
+        for members, mins, mask in labels:
+            if members == context.poset.full:
+                mask = Filter(context, 1).mask
+            out.append((members, mins, mask))
+        yield out
 
 
 def principal_filter(ctx, spec):

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrclass.poset import OrderViolation, Poset, bits
+
+from test_signature import reference_upsets
 
 
 def chain(m):
@@ -349,7 +351,28 @@ def test_by_inclusion_rejects_negative_masks():
         Poset.by_inclusion([-1, 0b01, 0b10])
 
 
-@given(posets())
+@st.composite
+def walk_posets(draw):
+    """Chains, antichains and random orders of 1-13 elements, on shuffled
+    indices.  The walk reads the last 8 elements of its order from one
+    table, so up to 8 elements it has no prefix and a tail of 1-8, and
+    past 8 a prefix and a full tail."""
+    m = draw(st.integers(min_value=1, max_value=13))
+    shape = draw(st.sampled_from(["chain", "antichain", "random"]))
+    if shape == "chain":
+        pairs = [(i, i + 1) for i in range(m - 1)]
+    elif shape == "antichain":
+        pairs = []
+    else:
+        drawn = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                        st.integers(0, m - 1)),
+                              max_size=2 * m))
+        pairs = [(min(a, b), max(a, b)) for a, b in drawn if a != b]
+    index = draw(st.permutations(range(m)))
+    return Poset.from_pairs(m, [(index[a], index[b]) for a, b in pairs])
+
+
+@given(walk_posets())
 def test_upsets_lexicographic_over_upset_order(p):
     # the empty up-set, which callers put first, sorts first
     order = p.upset_order()
@@ -357,12 +380,27 @@ def test_upsets_lexicographic_over_upset_order(p):
     assert emitted == sorted(emitted)
 
 
-@given(posets(), st.data())
+@settings(deadline=None)
+@given(walk_posets())
+def test_upsets_and_downsets_are_the_closed_subsets(p):
+    # brute force over every nonempty subset, and the order of the walk
+    # before it carried any values
+    dual = Poset.from_leq(list(p.above))
+    subsets = range(1, p.full + 1)
+    upsets, downsets = list(p.upsets()), list(p.downsets())
+    assert sorted(upsets) == [q for q in subsets if p.up_closure(q) == q]
+    assert sorted(downsets) == [q for q in subsets
+                                if p.down_closure(q) == q]
+    assert upsets == list(reference_upsets(p))
+    assert downsets == list(reference_upsets(dual))
+
+
+@given(walk_posets(), st.data())
 def test_weighted_upsets_carry_minimal_meet_join(p, data):
     weights = data.draw(st.lists(st.integers(0, 255), min_size=p.m,
                                  max_size=p.m))
     top = 255
-    walked = list(p.weighted_upsets(weights, top))
+    walked = [u for sets in p.weighted_upsets(weights, top) for u in sets]
     assert [u for u, *_ in walked] == list(p.upsets())
     for u, mins, cell in walked:
         assert mins == p.minimal(u)

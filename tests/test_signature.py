@@ -189,10 +189,13 @@ def _flip_carried(monkeypatch, flip, realized=False):
     walk = Poset.weighted_upsets
 
     def flipped(self, weights, top):
-        for members, mins, mask in walk(self, weights, top):
-            if flip(members) and bool(mask) == realized:
-                mask = 0 if realized else top
-            yield members, mins, mask
+        for labels in walk(self, weights, top):
+            out = []
+            for members, mins, mask in labels:
+                if flip(members) and bool(mask) == realized:
+                    mask = 0 if realized else top
+                out.append((members, mins, mask))
+            yield out
 
     monkeypatch.setattr(Poset, "weighted_upsets", flipped)
 
@@ -455,7 +458,7 @@ def assert_walk_carries(context):
     """The walk yields the labels in the reference order, each with its
     minimal ideals and its class mask as computed from scratch, and each
     walked filter carries that class mask."""
-    walked = list(label_walk(context))
+    walked = [label for labels in label_walk(context) for label in labels]
     filters = list(enumerate_filters(context))
     assert ([f.members for f in filters] == [u for u, *_ in walked]
             == list(reference_upsets(context.poset)))
@@ -507,11 +510,14 @@ def _corrupt_first_empty(monkeypatch):
 
     def corrupted(self, rel, order, weights=None, top=0):
         done = weights is None
-        for members, mins, mask in walk(self, rel, order, weights, top):
-            if not done and not mask:
-                done = True
-                mask = top
-            yield members, mins, mask
+        for sets in walk(self, rel, order, weights, top):
+            out = []
+            for members, mins, mask in sets:
+                if not done and not mask:
+                    done = True
+                    mask = top
+                out.append((members, mins, mask))
+            yield out
 
     monkeypatch.setattr(Poset, "_closed_sets", corrupted)
 

@@ -120,23 +120,12 @@ class TestUpsetLemma:
         # each seed must draw the families that randint-based drawing drew,
         # on whichever interpreter runs the test, so a --seed keeps testing
         # the same families
-        def reference(rng):
-            universe_size = rng.randint(1, RANDOM_MAX_UNIVERSE)
-            label_count = rng.randint(
-                1, min(RANDOM_MAX_LABELS, 1 << universe_size))
-            full = (1 << universe_size) - 1
-            subsets = []
-            while len(subsets) < label_count:
-                s = rng.randint(0, full)
-                if s not in subsets:
-                    subsets.append(s)
-            return universe_size, tuple(subsets)
-
         for seed in (0, 1, 3, 7, 2021):
             drawn, expected = random.Random(seed), random.Random(seed)
             for _ in range(2000):
                 fam = random_family(drawn)
-                assert (fam.universe_size, fam.assign) == reference(expected)
+                assert ((fam.universe_size, fam.assign)
+                        == randint_family(expected))
 
     def test_random_families_draw_through_getrandbits(self, monkeypatch):
         # the same families as randint's, with neither randrange nor
