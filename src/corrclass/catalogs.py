@@ -17,10 +17,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 # enumerate_filters is not called here: perfbench/test_perfbench.py checks
 # that the tracer wraps it in this namespace too.
-from .classify import (EXHAUSTIVE_CONTEXT_MAX, ClassDescriptor, Filter,
-                       class_exists, cross_check, describe_class, enumerable,
-                       enumerate_filters, label_name, label_walk,
-                       signature_groups)
+from .classify import (ClassDescriptor, Filter, class_exists, cross_check,
+                       describe_class, enumerable, enumerate_filters,
+                       label_name, label_walk, signature_groups)
 from .ideals import (PropertyContext, atom_context, coatom_context,
                      enumerate_ideals, k_partitionability_context,
                      k_producibility_context)
@@ -114,10 +113,10 @@ def signature_catalog(kind: str, context: PropertyContext) -> Catalog:
     exhaustive = kind != "finest" or enumerable(context)
     classes = [describe_class(Filter(context, label), types)
                for label, types in sorted(groups.items(), key=order)]
-    # Typecode "I" (4 bytes a label, at most 8 MB under the cap) holds every
-    # minimal mask appended here: a non-chain context is walked only with
-    # <= 21 ideals, a chain has no empty labels, and a non-exhaustive
-    # finest catalog walks nothing.  Widen it if wider contexts are walked.
+    # Typecode "I" (4 bytes a label, at most 8 MB under the cap) holds a
+    # minimal mask over at most 32 ideals, the one width limit left: the
+    # namer reads any number of runs.  A chain has no empty labels, and a
+    # non-exhaustive finest catalog walks nothing.
     empties = array("I")
     disagreeing: list[ClassDescriptor] = []  # walked mask is not the group
     if exhaustive:
@@ -148,6 +147,20 @@ def custom_catalog(context: PropertyContext) -> Catalog:
                              context)
 
 
+class _JoinedNames(dict):
+    """The joined names of a context's ideals past its first 8, keyed by
+    ``mask >> 8``: a missing key is folded from ``tables``, the byte
+    tables of the later runs of 8, and kept."""
+
+    def __init__(self, tables: list[tuple[str, ...]]):
+        self.tables = tables
+
+    def __missing__(self, key: int) -> str:
+        self[key] = text = "".join(
+            table[key >> 8 * i & 255] for i, table in enumerate(self.tables))
+        return text
+
+
 def _named_batches(context: PropertyContext, masks: Iterable[int],
                    head: str, sep: str, tail: str,
                    single: Callable[[str], str]) -> Iterator[list[str]]:
@@ -156,31 +169,27 @@ def _named_batches(context: PropertyContext, masks: Iterable[int],
     by ascending index and joined by ``sep``, then ``tail``; a one-name
     mask's text is ``single`` of its name.
 
-    Reads each mask 8 bits at a time, over the context's runs of 8 ideals,
-    from tables that map a byte to its ideals' names
-    already joined, each preceded by ``sep``: a label's text is one lookup
-    per run, concatenated, with the leading ``sep`` cut (every label has
-    an ideal).  The expression reads three runs, all that the walk's cap
-    allows; a run past a smaller context's last is empty, and its table
-    is ``("",)``.  The tables are built once, when the first batch is
-    asked for, and belong to this generator alone.
+    Each run of 8 ideals has a table that maps a byte to its ideals'
+    names already joined, each preceded by ``sep``.  A label's text is two
+    lookups, concatenated, with the leading ``sep`` cut (every label has
+    an ideal): its low byte in the first run's table, and ``mask >> 8`` in
+    a memo of the later runs' names (:class:`_JoinedNames`), which folds
+    their tables the first time it meets a key.  The tables and the memo
+    are built when the first batch is asked for and belong to this
+    generator alone.
     """
     names = [encode_basestring(str(ideal))[1:-1] for ideal in context.ideals]
-    if len(names) > 24:
-        raise ValueError(
-            f"the label namer reads at most 3 runs of 8 ideals, not"
-            f" {len(names)} ideals (EXHAUSTIVE_CONTEXT_MAX ="
-            f" {EXHAUSTIVE_CONTEXT_MAX})")
-    low, mid, high = [
+    low, *later = [
         _byte_table(names[start:start + 8], "",
                     lambda text, name: text + sep + name)
-        for start in range(0, 24, 8)]
+        for start in range(0, len(names), 8)]
+    rest = _JoinedNames(later)
     singles = {1 << i: single(name) for i, name in enumerate(names)}
     cut = len(sep)
     masks = iter(masks)
     while batch := [
-            head + (low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[cut:]
-            + tail if m & m - 1 else singles[m]
+            head + (low[m & 255] + rest[m >> 8])[cut:] + tail
+            if m & m - 1 else singles[m]
             for m in islice(masks, LABEL_BATCH)]:
         yield batch
 

@@ -99,34 +99,24 @@ def make_filter(context: PropertyContext,
     return Filter(context, context.poset.up_closure(mask))
 
 
-def meet_members(f: Filter) -> int:
-    """Partition mask of the intersection of the filter's ideals."""
-    members = f.members
-    out = f.context.lattice.full_mask
-    for i, mask in enumerate(f.context.masks):
-        if members >> i & 1:
-            out &= mask
-    return out
-
-
-def complement_join_members(f: Filter) -> int:
-    """Partition mask of the union of the complement's ideals (0 if empty)."""
-    members = f.members
-    out = 0
-    for i, mask in enumerate(f.context.masks):
-        if not members >> i & 1:
-            out |= mask
-    return out
-
-
 def class_mask(f: Filter) -> int:
-    """Partition mask of the class: the filter meet minus the complement join.
+    """Partition mask of the class: the filter meet (the AND of the
+    members' masks) minus the complement join (the OR of the others'),
+    both taken in one pass over the context's masks.
 
     The class exists iff the mask is nonzero, and two labels carve out the
     same class iff their masks are equal.  Computed from scratch: the
     reference for the mask the walk carries to each label.
     """
-    return meet_members(f) & ~complement_join_members(f)
+    members = f.members
+    meet, join = f.context.lattice.full_mask, 0
+    for mask in f.context.masks:
+        if members & 1:
+            meet &= mask
+        else:
+            join |= mask
+        members >>= 1
+    return meet & ~join
 
 
 class ClassDescriptor:

@@ -145,11 +145,8 @@ class Poset:
             below, above = [full] * m, [full] * m
             for start in range(0, width, 8):
                 run = holders[start:start + 8]
-                downs, ups = [full], [full]
-                for byte in range(1, 1 << len(run)):
-                    high = byte.bit_length() - 1
-                    downs.append(downs[byte ^ 1 << high] & ~run[high])
-                    ups.append(ups[byte ^ 1 << high] & run[high])
+                downs = _byte_table([full & ~h for h in run], full, and_)
+                ups = _byte_table(run, full, and_)
                 last = len(ups) - 1
                 for i, a in enumerate(masks):
                     byte = a >> start & last

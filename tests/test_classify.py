@@ -6,16 +6,17 @@ from corrclass import catalogs, classify
 from corrclass.catalogs import (class_record, class_report_jsonl,
                                 custom_catalog)
 from corrclass.classify import (ClassDescriptor, Filter, class_exists,
-                                class_mask, complement_join_members,
-                                cross_check, describe_class,
+                                class_mask, cross_check, describe_class,
                                 enumerate_filters, lemma_principal_check,
-                                make_filter, meet_members, signature_groups)
+                                make_filter, signature_groups)
 from corrclass.cli import main
 from corrclass.ideals import (PropertyContext, atom_context, full_context,
                               k_partitionability_context, principal_ideal)
 from corrclass.poset import CapExceeded
 
 from partition_reference import Partition, partitions_of
+from test_oracle_loops import (reference_complement_join_members,
+                              reference_meet_members)
 from test_signature import assert_catalog_meets_oracle, oracle_types
 
 
@@ -234,7 +235,8 @@ class TestDescriptors:
         f = principal_filter(ctx3, "123")
         d = describe_class(f, oracle_types(f))
         assert isinstance(d, ClassDescriptor)
-        assert d.mask == meet_members(f) & ~complement_join_members(f)
+        assert d.mask == (reference_meet_members(f)
+                          & ~reference_complement_join_members(f))
         assert d.mask == class_exists(f).mask
         assert d.types == oracle_types(f)
         assert d.types == 1 << ctx3.lattice.top_index

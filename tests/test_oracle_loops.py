@@ -10,8 +10,8 @@ once and hands the split to both.  ``type_set`` tests only the partitions of
 that smallest ideal outside that largest one, each by every membership.
 The lemma tests each principal identity from its open side: only a
 complement ideal can contain the meet, and only a member ideal can lie
-inside the join.  ``meet_members`` and ``complement_join_members`` split
-the masks in one pass of their own.  The references below are the same
+inside the join.  ``class_mask`` takes the meet and the join in one pass
+of its own over the masks.  The references below are the same
 functions written with ``bits`` walks over the member and complement
 masks, every partition tested, and ``any()`` over the ideal tuples, kept
 here only as references.  Every label must get identical results from
@@ -26,9 +26,8 @@ from hypothesis import given, settings
 
 from corrclass import classify, ideals
 from corrclass.cli import EXIT_INVARIANT, main
-from corrclass.classify import (Filter, complement_join_members,
-                                enumerate_filters, lemma_principal_check,
-                                meet_members, type_set)
+from corrclass.classify import (Filter, class_mask, enumerate_filters,
+                                lemma_principal_check, type_set)
 from corrclass.poset import bits
 
 from test_signature import BUILT_IN_CONTEXTS, _lattice, custom_contexts
@@ -109,9 +108,8 @@ def assert_loops_match(context, universe=None):
         f = Filter._walked(context, f.members, full & ~f.mask)
         split = context.split(f.members)
         assert type_set(split) == reference_type_set(f)
-        assert meet_members(f) == reference_meet_members(f)
-        assert (complement_join_members(f)
-                == reference_complement_join_members(f))
+        assert class_mask(f) == (reference_meet_members(f)
+                                 & ~reference_complement_join_members(f))
         assert (lemma_principal_check(split, universe)
                 == reference_lemma(f, universe))
 

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrclass import catalogs
+from corrclass import catalogs, classify
 from corrclass.catalogs import (_encode_line, _record, catalog_for,
                                 catalog_json, catalog_jsonl,
                                 class_report_jsonl, custom_catalog)
-from corrclass.classify import Filter, describe_class, enumerate_filters
+from corrclass.classify import (Filter, describe_class, enumerate_filters,
+                                type_set)
 from corrclass.ideals import (PropertyContext, enumerate_ideals,
                               ideal_from_generators, parse_ideal)
 from corrclass.partitions import enumerate_partitions, state_shape
@@ -201,11 +202,25 @@ def chain_with_pair(size, at):
     return PropertyContext(lattice, ideals)
 
 
+def assert_named_as_references(catalog):
+    """Both writers' output equals the references' at several batch
+    sizes."""
+    expected_json, expected_jsonl = (reference_json(catalog),
+                                     reference_jsonl(catalog))
+    for batch in (catalogs.LABEL_BATCH, 1, 2, 7):
+        with mock.patch.object(catalogs, "LABEL_BATCH", batch):
+            assert "".join(catalog_json(catalog)) == expected_json
+            assert "".join(catalog_jsonl(catalog)) == expected_jsonl
+
+
 @pytest.mark.parametrize("size, at, one_name_runs", [
     (16, (8, 9, 10), {1}),  # two runs of 8 ideals
     (21, (3, 12, 19), {1, 2}),  # three runs, the walk's cap
+    (27, (5, 12, 26), {1, 3}),  # four runs, past the cap
 ])
-def test_writers_name_labels_across_runs(size, at, one_name_runs):
+def test_writers_name_labels_across_runs(size, at, one_name_runs,
+                                         monkeypatch):
+    monkeypatch.setattr(classify, "EXHAUSTIVE_CONTEXT_MAX", 30)
     context = chain_with_pair(size, at)
     assert len(context) == size
     catalog = custom_catalog(context)
@@ -216,25 +231,59 @@ def test_writers_name_labels_across_runs(size, at, one_name_runs):
     assert any(m & 255 == 0 and m & m - 1 for m in empties)
     assert {(m.bit_length() - 1) // 8 for m in empties
             if not m & m - 1} >= one_name_runs
-    expected_json, expected_jsonl = (reference_json(catalog),
-                                     reference_jsonl(catalog))
-    for batch in (catalogs.LABEL_BATCH, 1, 2, 7):
-        with mock.patch.object(catalogs, "LABEL_BATCH", batch):
-            assert "".join(catalog_json(catalog)) == expected_json
-            assert "".join(catalog_jsonl(catalog)) == expected_jsonl
+    assert_named_as_references(catalog)
 
 
-def test_namer_reads_three_runs_and_refuses_a_fourth():
-    context = chain_with_pair(24, (21, 22, 23))
-    mask = 1 << 2 | 1 << 13 | 1 << 23
-    batch, = catalogs._named_batches(context, [mask, 1 << 23], "<", "+", ">",
+def test_namer_reads_every_run():
+    # 25 ideals, four runs of 8; two masks share their ideals past the
+    # first run, so the second reads them from the memo
+    context = chain_with_pair(25, (22, 23, 24))
+    masks = [1 << 2 | 1 << 13 | 1 << 23 | 1 << 24, 1 << 24,
+             1 << 5 | 1 << 13 | 1 << 23 | 1 << 24, 1 << 9 | 1 << 17, 1 << 3]
+    batch, = catalogs._named_batches(context, masks, "<", "+", ">",
                                      lambda name: "1:" + name)
-    names = context.names_of(mask)
-    assert batch == ["<" + "+".join(names) + ">",
-                     "1:" + context.names_of(1 << 23)[0]]
-    wider = chain_with_pair(25, (22, 23, 24))
-    with pytest.raises(ValueError, match="EXHAUSTIVE_CONTEXT_MAX = 21"):
-        next(catalogs._named_batches(wider, [1], "", ", ", "", str))
+    assert batch == ["<" + "+".join(context.names_of(m)) + ">" if m & m - 1
+                     else "1:" + context.names_of(m)[0] for m in masks]
+
+
+def two_chains():
+    """30 ideals at n = 6 in two incomparable chains of 15: the down-sets
+    grown, by the size of each partition's down-set, from the atom
+    12|3|4|5|6 through the partitions not above 1|2|3|4|56, and from
+    1|2|3|4|56 through those not above 12|3|4|5|6."""
+    lattice = _lattice(6)
+    below, above = lattice.poset.below, lattice.poset.above
+
+    def chain(atom, other):
+        a, b = (lattice.parse(spec)[0] for spec in (atom, other))
+        order = sorted((i for i in range(len(lattice))
+                        if i != a and not above[b] >> i & 1),
+                       key=lambda i: (below[i].bit_count(), i))
+        order.insert(1, a)  # after the bottom
+        return [ideal_from_generators(lattice, order[:k])
+                for k in range(2, 17)]
+
+    return PropertyContext(lattice, chain("12|3|4|5|6", "1|2|3|4|56")
+                           + chain("1|2|3|4|56", "12|3|4|5|6"))
+
+
+def test_writers_name_a_context_of_thirty_ideals(monkeypatch):
+    """Four runs of 8 ideals: (15 + 1)^2 - 1 labels, named by the writers
+    as the references name them, each checked by the oracle through
+    ``split``'s four tables."""
+    monkeypatch.setattr(classify, "EXHAUSTIVE_CONTEXT_MAX", 30)
+    context = two_chains()
+    assert len(context) == 30
+    catalog = custom_catalog(context)
+    assert catalog.kind == "custom" and not catalog.discrepancies
+    assert (len(catalog.classes), len(catalog.empties)) == (18, 237)
+    assert {(m.bit_length() - 1) // 8 for m in catalog.empties} == {
+        0, 1, 2, 3}
+    assert_named_as_references(catalog)
+    for d in catalog.classes:
+        assert type_set(context.split(d.label.members)) == d.types
+    for mins in catalog.empties:
+        assert type_set(context.split(context.poset.up_closure(mins))) == 0
 
 
 def test_full_n4_up_closure_memo_is_sparse(lat4):
